@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .model import DEFAULT_STATE_LIMIT, LabelledNet, render_marking
-from .semantics import LimitExceededError, explore_reachable
+from .semantics import LimitExceededError, ReachGraph, _independent, explore_reachable
 
 
 @dataclass(frozen=True)
@@ -83,28 +83,25 @@ class PureMWitness:
     marking: frozenset[str]
 
 
-def _plain_nodes(net: LabelledNet, state_limit: int) -> list[frozenset[str]]:
-    graph = explore_reachable(net, dependency=False, state_limit=state_limit)
+def _interleavings(net: LabelledNet, state_limit: int) -> ReachGraph:
+    graph = explore_reachable(net, dependency=False, state_limit=state_limit, steps=False)
     if graph.limit_exceeded:
         raise LimitExceededError(f"more than {state_limit} reachable markings")
-    return graph.nodes
+    return graph
 
 
 def concurrency_relation(
     net: LabelledNet, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> ConcurrencyRelation:
     """Compute which transition pairs some reachable marking fires together."""
-    pairs: set[frozenset[str]] = set()
-    order = sorted(net.transitions)
-    for marking in _plain_nodes(net, state_limit):
-        enabled = [
-            t for t in order
-            if net._preset[t] <= marking and not (marking - net._preset[t]) & net._postset[t]
-        ]
-        for t, u in combinations(enabled, 2):
-            if not (net._preset[t] & net._preset[u]) and not (net._postset[t] & net._postset[u]):
-                pairs.add(frozenset((t, u)))
-    return ConcurrencyRelation(frozenset(pairs))
+    graph = _interleavings(net, state_limit)
+    enabled: list[list[str]] = [[] for _ in graph.nodes]
+    for e in graph.edges:  # one edge per enabled transition
+        enabled[e.source].extend(e.step)
+    together = {pair for ts in enabled for pair in combinations(ts, 2)}
+    return ConcurrencyRelation(
+        frozenset(frozenset(pair) for pair in together if _independent(net, *pair))
+    )
 
 
 def _shared_preplace_graph(net: LabelledNet) -> dict[str, set[str]]:
@@ -191,8 +188,12 @@ def check_distributed(
 
 def find_pure_m(net: LabelledNet, state_limit: int = DEFAULT_STATE_LIMIT) -> list[PureMWitness]:
     """All overlapping-conflict triples whose presets some reachable marking
-    jointly covers; left and right are ordered to skip mirror duplicates."""
-    markings = _plain_nodes(net, state_limit)
+    jointly covers; left and right are ordered to skip mirror duplicates.
+
+    Each witness marking is the first covering marking in the interleaving
+    BFS order (sorted transitions), so one with a shortest firing sequence.
+    """
+    markings = _interleavings(net, state_limit).nodes
     order = sorted(net.transitions)
     out: list[PureMWitness] = []
     for middle in order:

@@ -10,7 +10,8 @@ not.  Verdicts are always relative to the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import count
+from typing import Iterable, Iterator
 
 from .model import DEFAULT_STATE_LIMIT, TAU, LabelledNet, render_marking
 from .semantics import LimitExceededError, explore_reachable
@@ -126,47 +127,30 @@ def find_local_deadlock(
     """Find hidden steps after which a previously enabled visible label can
     never fire again while some other visible label still can.
 
-    Works on the plain reachability graph: a label is live from a marking
-    when some reachable marking enables a transition carrying it.  Only
-    invisible firings count as disabling steps; losing an action to a
-    visible alternative is ordinary conflict resolution, not a deadlock.
+    Works on the interleaving graph of plain markings, one edge per enabled
+    transition: a label is live from a marking when some reachable marking
+    enables a transition carrying it.  Only invisible firings count as
+    disabling steps; losing an action to a visible alternative is ordinary
+    conflict resolution, not a deadlock.
     """
-    graph = explore_reachable(net, dependency=False, state_limit=state_limit)
+    graph = explore_reachable(net, dependency=False, state_limit=state_limit, steps=False)
     if graph.limit_exceeded:
         raise LimitExceededError(f"more than {state_limit} reachable markings")
     n = len(graph.nodes)
-    single: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    for e in graph.edges:
-        if len(e.step) == 1:
-            single[e.source].append((next(iter(e.step)), e.target))
-    for successors in single:
-        successors.sort()
-
-    enabled_labels = [
-        frozenset(net.labelling[t] for t, _ in single[i] if net.labelling[t] != TAU)
-        for i in range(n)
-    ]
-    live: list[frozenset[str]] = [frozenset()] * n
-    for i in range(n):
-        seen = {i}
-        stack = [i]
-        acc: set[str] = set()
-        while stack:
-            j = stack.pop()
-            acc |= enabled_labels[j]
-            for _, k in single[j]:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
-        live[i] = frozenset(acc)
-
-    parent: dict[int, tuple[int, str] | None] = {0: None}
-    order = [0]
-    for i in order:
-        for t, j in single[i]:
-            if j not in parent:
-                parent[j] = (i, t)
-                order.append(j)
+    successors: list[list[int]] = [[] for _ in range(n)]
+    enabled_labels: list[set[str]] = [set() for _ in range(n)]
+    # The first edge into a node is the one that discovered it: a BFS tree.
+    parent: list[tuple[int, str] | None] = [None] * n
+    depth = [0] * n
+    for e in graph.edges:  # in BFS order, each node's in sorted transition order
+        (t,) = e.step
+        successors[e.source].append(e.target)
+        if net.labelling[t] != TAU:
+            enabled_labels[e.source].add(net.labelling[t])
+        if e.target and parent[e.target] is None:
+            parent[e.target] = (e.source, t)
+            depth[e.target] = depth[e.source] + 1
+    live = _live_labels(successors, enabled_labels)
 
     def trace_to(i: int) -> tuple[str, ...]:
         steps: list[str] = []
@@ -175,25 +159,77 @@ def find_local_deadlock(
             steps.append(t)
         return tuple(reversed(steps))
 
-    witnesses: dict[tuple[int, str], LocalDeadlockWitness] = {}
-    for i in range(n):
-        for t, j in single[i]:
-            if net.labelling[t] != TAU:
-                continue
-            for x in sorted(enabled_labels[i]):
-                if x in live[j] or not live[j]:
-                    continue
-                key = (j, x)
-                if key not in witnesses:
-                    witnesses[key] = LocalDeadlockWitness(
-                        trace=trace_to(i) + (t,),
-                        marking=graph.nodes[j],
-                        dead_label=x,
-                        live_labels=live[j],
-                    )
-    return sorted(
-        witnesses.values(), key=lambda w: (len(w.trace), w.trace, w.dead_label)
-    )
+    # Each (marking, dead label) keeps the witness with the least
+    # (len(trace), trace).  Its trace is trace_to(i) + (t,), and among nodes
+    # of one BFS depth the index order is the order of their traces, so the
+    # least (depth, i, t) picks it without building the traces.
+    best: dict[tuple[int, str], tuple[int, int, str]] = {}
+    for e in graph.edges:
+        (t,), i, j = e.step, e.source, e.target
+        if net.labelling[t] != TAU or not live[j]:
+            continue
+        for x in enabled_labels[i] - live[j]:
+            key, found = (j, x), (depth[i], i, t)
+            if key not in best or found < best[key]:
+                best[key] = found
+    witnesses = [
+        LocalDeadlockWitness(
+            trace=trace_to(i) + (t,), marking=graph.nodes[j], dead_label=x, live_labels=live[j]
+        )
+        for (j, x), (_, i, t) in best.items()
+    ]
+    return sorted(witnesses, key=lambda w: (len(w.trace), w.trace, w.dead_label))
+
+
+def _live_labels(
+    successors: list[list[int]], enabled_labels: list[set[str]]
+) -> list[frozenset[str]]:
+    """For every node, the labels enabled at some node reachable from it.
+
+    One pass of Tarjan's strongly connected components (1972), iterative
+    because graphs may hold 10^6 nodes.  A component closes only after every
+    component it reaches, so its set is final then: its members' labels
+    plus the sets of the closed components they lead to.
+    """
+    n = len(successors)
+    index = [-1] * n  # DFS visit number
+    low = [0] * n
+    live: list[frozenset[str] | None] = [None] * n  # None until the node's component closes
+    stack: list[int] = []  # visited nodes of open components
+    work: list[tuple[int, Iterator[int]]] = []  # the DFS path, each with its unread successors
+    visits = count()
+
+    def visit(v: int):
+        index[v] = low[v] = next(visits)
+        stack.append(v)
+        work.append((v, iter(successors[v])))
+
+    for root in range(n):
+        if index[root] < 0:
+            visit(root)
+        while work:
+            v, rest = work[-1]
+            for w in rest:
+                if index[w] < 0:
+                    visit(w)
+                    break
+                if live[w] is None:  # on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    labels = frozenset().union(
+                        *(enabled_labels[u] for u in component),
+                        *(live[w] for u in component for w in successors[u] if live[w]),
+                    )  # live[w] is still None inside this component
+                    for u in component:
+                        live[u] = labels
+    return live
 
 
 def deadlock_text(witnesses: Iterable[LocalDeadlockWitness]) -> str:

@@ -12,7 +12,6 @@ existence; a set of such tokens is a dependency marking.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -194,11 +193,12 @@ class DependencyMarking:
         """The plain marking underneath (first projection)."""
         return frozenset(tok.place for tok in self.tokens)
 
+    @cached_property
+    def _deps(self) -> dict[str, frozenset[str]]:
+        return {tok.place: tok.deps for tok in self.tokens}
+
     def deps_at(self, place: str) -> frozenset[str] | None:
-        for tok in self.tokens:
-            if tok.place == place:
-                return tok.deps
-        return None
+        return self._deps.get(place)
 
     def text(self) -> str:
         """Render tokens as ``p {a,c} ; q {}`` with places and labels sorted."""
@@ -346,26 +346,13 @@ def check_contact_free(net: LabelledNet, state_limit: int = DEFAULT_STATE_LIMIT)
 
     A violation is a reachable marking covering some transition's preset
     while already marking one of its pure postset places.  Exploration uses
-    the firing rule that refuses such steps, so the first hit is reported.
+    the firing rule that refuses such steps, so the first hit in BFS order
+    is reported, unless the state limit was hit before it.
     """
-    if state_limit < 1:
-        raise ValueError("state_limit must be at least 1")
-    order = sorted(net.transitions)
-    seen = {net.initial_marking}
-    queue = deque([net.initial_marking])
-    while queue:
-        m = queue.popleft()
-        for t in order:
-            pre = net._preset[t]
-            if not pre <= m:
-                continue
-            post = net._postset[t]
-            if (m - pre) & post:
-                return ContactVerdict("violation", marking=m, transition=t)
-            m2 = (m - pre) | post
-            if m2 not in seen:
-                if len(seen) >= state_limit:
-                    return ContactVerdict("limit_exceeded")
-                seen.add(m2)
-                queue.append(m2)
-    return ContactVerdict("contact_free")
+    from .semantics import explore_reachable  # semantics builds on this module
+
+    graph = explore_reachable(net, dependency=False, state_limit=state_limit, steps=False)
+    if graph.contact is not None:
+        marking, transition = graph.contact
+        return ContactVerdict("violation", marking=marking, transition=transition)
+    return ContactVerdict("limit_exceeded" if graph.limit_exceeded else "contact_free")

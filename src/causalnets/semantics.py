@@ -9,7 +9,7 @@ that transition consumed; the invisible label is never recorded.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from typing import Iterable, Sequence
@@ -56,22 +56,21 @@ def _as_step(net: LabelledNet, step: Iterable[str]) -> frozenset[str]:
     return G
 
 
+def _enabled(net: LabelledNet, places: frozenset[str], t: str) -> bool:
+    """The firing rule for one transition: ``places`` covers its preset and
+    none of its pure postset places, so firing it cannot put a second token
+    on a place."""
+    pre = net._preset[t]
+    return pre <= places and not (places - pre) & net._postset[t]
+
+
+def _independent(net: LabelledNet, t: str, u: str) -> bool:
+    return not (net._preset[t] & net._preset[u]) and not (net._postset[t] & net._postset[u])
+
+
 def step_enabled(net: LabelledNet, marking: DependencyMarking, step: Iterable[str]) -> bool:
     """True when every member can fire from ``marking`` and no two conflict."""
-    G = _as_step(net, step)
-    places = marking.places
-    for t in G:
-        pre = net._preset[t]
-        if not pre <= places:
-            return False
-        if (places - pre) & net._postset[t]:
-            return False
-    for t, u in combinations(sorted(G), 2):
-        if net._preset[t] & net._preset[u]:
-            return False
-        if net._postset[t] & net._postset[u]:
-            return False
-    return True
+    return plain_enabled(net, marking.places, step)
 
 
 def fire_step(net: LabelledNet, marking: DependencyMarking, step: Iterable[str]) -> DependencyMarking:
@@ -84,6 +83,10 @@ def fire_step(net: LabelledNet, marking: DependencyMarking, step: Iterable[str])
     G = _as_step(net, step)
     if not step_enabled(net, marking, G):
         raise NotEnabledError(f"step {sorted(G)} is not enabled")
+    return _fire(net, marking, G)
+
+
+def _fire(net: LabelledNet, marking: DependencyMarking, G: Iterable[str]) -> DependencyMarking:
     pre_g = frozenset(chain.from_iterable(net._preset[t] for t in G))
     tokens = {tok for tok in marking.tokens if tok.place not in pre_g}
     for t in G:
@@ -160,19 +163,11 @@ def weak_step(
 
 
 def plain_enabled(net: LabelledNet, marking: frozenset[str], step: Iterable[str]) -> bool:
+    """True when every member can fire from the plain ``marking`` and no two conflict."""
     G = _as_step(net, step)
-    for t in G:
-        pre = net._preset[t]
-        if not pre <= marking:
-            return False
-        if (marking - pre) & net._postset[t]:
-            return False
-    for t, u in combinations(sorted(G), 2):
-        if net._preset[t] & net._preset[u]:
-            return False
-        if net._postset[t] & net._postset[u]:
-            return False
-    return True
+    return all(_enabled(net, marking, t) for t in G) and all(
+        _independent(net, t, u) for t, u in combinations(sorted(G), 2)
+    )
 
 
 def plain_fire(net: LabelledNet, marking: frozenset[str], step: Iterable[str]) -> frozenset[str]:
@@ -192,18 +187,12 @@ def enabled_steps(net: LabelledNet, marking) -> list[frozenset[str]]:
     subset of an enabled step is itself listed.
     """
     places = marking.places if isinstance(marking, DependencyMarking) else marking
-    singles = [
-        t for t in sorted(net.transitions)
-        if net._preset[t] <= places and not (places - net._preset[t]) & net._postset[t]
-    ]
+    singles = [t for t in sorted(net.transitions) if _enabled(net, places, t)]
     out: list[frozenset[str]] = []
 
     def grow(prefix: list[str], rest: list[str]):
         for i, t in enumerate(rest):
-            if all(
-                not (net._preset[t] & net._preset[u]) and not (net._postset[t] & net._postset[u])
-                for u in prefix
-            ):
+            if all(_independent(net, t, u) for u in prefix):
                 prefix.append(t)
                 out.append(frozenset(prefix))
                 grow(prefix, rest[i + 1:])
@@ -235,11 +224,16 @@ class ReachEdge:
 
 @dataclass
 class ReachGraph:
-    """Breadth-first closure of the initial marking under all enabled steps.
+    """Breadth-first closure of the initial marking.
 
     Nodes are dependency markings, or plain markings when built with
-    ``dependency=False``.  Edges record every enabled step, not only the
-    singletons, so the graph also carries the step-concurrency information.
+    ``dependency=False``.  Built with ``steps=True`` the edges record every
+    enabled step, so the graph also carries the step-concurrency
+    information; built with ``steps=False`` they record the interleavings:
+    one edge per enabled transition.  ``contact`` is the first reachable
+    (plain marking, transition) pair in BFS order whose firing is refused
+    because it would put a second token on a place, as long as it was met
+    before the state limit cut the exploration.
     """
 
     dependency: bool
@@ -248,6 +242,7 @@ class ReachGraph:
     state_bound: int
     limit_exceeded: bool
     index: dict = field(repr=False)
+    contact: tuple[frozenset[str], str] | None = None
 
     @property
     def root(self):
@@ -256,9 +251,6 @@ class ReachGraph:
     @property
     def bound_respected(self) -> bool:
         return len(self.nodes) <= self.state_bound
-
-    def successors(self, i: int) -> list[ReachEdge]:
-        return [e for e in self.edges if e.source == i]
 
     def to_text(self) -> str:
         lines = []
@@ -273,9 +265,18 @@ class ReachGraph:
 
 
 def explore_reachable(
-    net: LabelledNet, dependency: bool = True, state_limit: int = DEFAULT_STATE_LIMIT
+    net: LabelledNet,
+    dependency: bool = True,
+    state_limit: int = DEFAULT_STATE_LIMIT,
+    steps: bool = True,
 ) -> ReachGraph:
     """Build the reachability graph from the initial (dependency) marking.
+
+    With ``steps`` every enabled step becomes an edge: up to 2^n - 1 edges
+    at a node enabling n independent transitions.  Without it only the
+    singleton steps do, taken in sorted transition order; every step can be
+    fired as an interleaving of its members, so the same nodes are reached,
+    numbered in the interleaving BFS order.
 
     Exploration stops once ``state_limit`` nodes exist; the partial graph is
     returned with ``limit_exceeded`` set, and edges into undiscovered nodes
@@ -283,27 +284,43 @@ def explore_reachable(
     """
     if state_limit < 1:
         raise ValueError("state_limit must be at least 1")
+    pre, post = net._preset, net._postset
     root = initial_dependency_marking(net) if dependency else net.initial_marking
     nodes = [root]
     index = {root: 0}
     edges: list[ReachEdge] = []
     limit_exceeded = False
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        m = nodes[i]
-        for g in enabled_steps(net, m):
-            m2 = fire_step(net, m, g) if dependency else plain_fire(net, m, g)
-            j = index.get(m2)
-            if j is None:
-                if len(nodes) >= state_limit:
-                    limit_exceeded = True
-                    continue
-                j = len(nodes)
-                nodes.append(m2)
-                index[m2] = j
-                queue.append(j)
-            edges.append(ReachEdge(i, g, tuple(sorted(net.labelling[t] for t in g)), j))
+    contact = None
+
+    def add_edge(i: int, g: frozenset[str], labels: tuple[str, ...], m2):
+        nonlocal limit_exceeded
+        j = index.get(m2)
+        if j is None:
+            if len(nodes) >= state_limit:
+                limit_exceeded = True
+                return
+            j = len(nodes)
+            nodes.append(m2)
+            index[m2] = j
+        edges.append(ReachEdge(i, g, labels, j))
+
+    order = sorted(net.transitions)
+    single = {t: (frozenset((t,)), (net.labelling[t],)) for t in order}
+    for i, m in enumerate(nodes):  # the BFS queue: nodes are appended in discovery order
+        places = m.places if dependency else m
+        for t in order:
+            if not _enabled(net, places, t):
+                if contact is None and not limit_exceeded and pre[t] <= places:
+                    contact = (places, t)
+            elif not steps:
+                g, labels = single[t]
+                add_edge(i, g, labels, _fire(net, m, g) if dependency else (m - pre[t]) | post[t])
+        # Fire and record one step at a time rather than collecting the
+        # successors first: a node of loops(12) enables 4095 steps.
+        for g in enabled_steps(net, places) if steps else ():
+            labels = tuple(sorted(net.labelling[t] for t in g))
+            add_edge(i, g, labels, _fire(net, m, g) if dependency else m.difference(
+                *(pre[t] for t in g)).union(*(post[t] for t in g)))
     return ReachGraph(
         dependency=dependency,
         nodes=nodes,
@@ -311,6 +328,7 @@ def explore_reachable(
         state_bound=state_bound(net),
         limit_exceeded=limit_exceeded,
         index=index,
+        contact=contact,
     )
 
 

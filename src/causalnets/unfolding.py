@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .model import TAU, LabelledNet, UnknownElementError
-from .semantics import LimitExceededError, plain_enabled
+from .semantics import LimitExceededError, _enabled
 
 
 def default_event_limit(visible_bound: int) -> int:
@@ -203,9 +203,7 @@ def extend_process(net: LabelledNet, process: Process, t: str) -> Process | None
 def is_maximal(net: LabelledNet, process: Process) -> bool:
     """True when the folded end marking enables no transition of the net."""
     marking = process.end_marking()
-    return not any(
-        plain_enabled(net, marking, (t,)) for t in net.transitions
-    )
+    return not any(_enabled(net, marking, t) for t in net.transitions)
 
 
 @dataclass(frozen=True)

@@ -110,3 +110,26 @@ class TestFindPureM:
                 verdict = cn.check_distributed(net, state_limit=10**4)
                 assert not verdict.distributed
         assert found_some >= 2  # the corpus covers the non-vacuous case
+
+    def test_witness_marking_is_first_in_interleaving_order(self):
+        # Both {p0,p1,p2,p4} and {p0,p1,p2,p3,p4} cover the presets of
+        # (t4, t2, t5); the latter is reached by a shorter firing sequence.
+        net = cn.parse_net(
+            "place p0 *\nplace p1\nplace p2 *\nplace p3 *\nplace p4\nplace p5 *\n"
+            "trans t0 : b\ntrans t1 : a\ntrans t2\ntrans t3\ntrans t4 : a\ntrans t5 : b\n"
+            + "".join(f"arc {a} -> {b}\n" for a, b in (
+                ("p0", "t4"), ("p1", "t2"), ("p1", "t4"), ("p2", "t2"), ("p2", "t5"),
+                ("p3", "t0"), ("p3", "t3"), ("p4", "t5"), ("p5", "t1"), ("p5", "t3"),
+                ("t1", "p1"), ("t1", "p4"), ("t2", "p2"), ("t2", "p3"), ("t3", "p5"),
+                ("t4", "p0"), ("t4", "p4"), ("t5", "p1"), ("t5", "p4"),
+            ))
+        )
+        reachable = set(cn.explore_reachable(net, dependency=False).nodes)
+        witnesses = cn.find_pure_m(net)
+        for w in witnesses:
+            assert w.marking in reachable
+            assert cn.preset(net, w.left) | cn.preset(net, w.middle) | cn.preset(net, w.right) <= w.marking
+        assert [(w.left, w.middle, w.right, w.marking) for w in witnesses] == [
+            ("t0", "t3", "t1", frozenset({"p0", "p2", "p3", "p5"})),
+            ("t4", "t2", "t5", frozenset({"p0", "p1", "p2", "p3", "p4"})),
+        ]

@@ -4,7 +4,9 @@ import pytest
 
 import causalnets as cn
 
-from helpers import ac_ordered_pairs, pomset, random_tractable_nets
+from causalnets.equivalence import _live_labels
+
+from helpers import ac_ordered_pairs, pomset, random_net, random_tractable_nets
 
 
 def fig(name):
@@ -166,3 +168,35 @@ class TestLocalDeadlock:
     def test_limit(self):
         with pytest.raises(cn.LimitExceededError):
             cn.find_local_deadlock(fig("deadlocking"), state_limit=1)
+
+
+def test_live_labels_match_per_node_search():
+    import random
+
+    rng = random.Random(1108)
+    for _ in range(150):
+        net = random_net(rng, max_places=6, max_transitions=6, tau_prob=0.5)
+        graph = cn.explore_reachable(net, dependency=False, steps=False)
+        successors = [[] for _ in graph.nodes]
+        enabled = [set() for _ in graph.nodes]
+        for e in graph.edges:
+            successors[e.source].append(e.target)
+            enabled[e.source] |= {net.labelling[t] for t in e.step} - {cn.TAU}
+        live = _live_labels(successors, [frozenset(x) for x in enabled])
+        for i in range(len(graph.nodes)):
+            seen, stack, acc = {i}, [i], set()
+            while stack:
+                j = stack.pop()
+                acc |= enabled[j]
+                for k in successors[j]:
+                    if k not in seen:
+                        seen.add(k)
+                        stack.append(k)
+            assert live[i] == acc
+
+
+def test_live_labels_on_a_long_path():
+    n = 20_000  # far deeper than the recursion limit
+    successors = [[i + 1] for i in range(n - 1)] + [[n - 1]]
+    labels = [frozenset()] * (n - 1) + [frozenset({"a"})]
+    assert _live_labels(successors, labels) == [frozenset({"a"})] * n
