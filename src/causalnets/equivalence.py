@@ -10,8 +10,7 @@ not.  Verdicts are always relative to the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .model import DEFAULT_STATE_LIMIT, TAU, LabelledNet, render_marking
 from .semantics import LimitExceededError, explore_reachable
@@ -137,20 +136,18 @@ def find_local_deadlock(
     if graph.limit_exceeded:
         raise LimitExceededError(f"more than {state_limit} reachable markings")
     n = len(graph.nodes)
-    successors: list[list[int]] = [[] for _ in range(n)]
+    predecessors: list[list[int]] = [[] for _ in range(n)]
     enabled_labels: list[set[str]] = [set() for _ in range(n)]
     # The first edge into a node is the one that discovered it: a BFS tree.
     parent: list[tuple[int, str] | None] = [None] * n
-    depth = [0] * n
     for e in graph.edges:  # in BFS order, each node's in sorted transition order
         (t,) = e.step
-        successors[e.source].append(e.target)
+        predecessors[e.target].append(e.source)
         if net.labelling[t] != TAU:
             enabled_labels[e.source].add(net.labelling[t])
         if e.target and parent[e.target] is None:
             parent[e.target] = (e.source, t)
-            depth[e.target] = depth[e.source] + 1
-    live = _live_labels(successors, enabled_labels)
+    live = _live_labels(predecessors, enabled_labels)
 
     def trace_to(i: int) -> tuple[str, ...]:
         steps: list[str] = []
@@ -160,76 +157,40 @@ def find_local_deadlock(
         return tuple(reversed(steps))
 
     # Each (marking, dead label) keeps the witness with the least
-    # (len(trace), trace).  Its trace is trace_to(i) + (t,), and among nodes
-    # of one BFS depth the index order is the order of their traces, so the
-    # least (depth, i, t) picks it without building the traces.
-    best: dict[tuple[int, str], tuple[int, int, str]] = {}
+    # (len(trace), trace), where the trace is trace_to(i) + (t,).  BFS
+    # numbers nodes by depth, and within one depth in the order of their
+    # traces, so the first edge in (i, t) order is that witness.
+    best: dict[tuple[int, str], tuple[int, str]] = {}
     for e in graph.edges:
         (t,), i, j = e.step, e.source, e.target
-        if net.labelling[t] != TAU or not live[j]:
-            continue
-        for x in enabled_labels[i] - live[j]:
-            key, found = (j, x), (depth[i], i, t)
-            if key not in best or found < best[key]:
-                best[key] = found
+        if net.labelling[t] == TAU and live[j]:
+            for x in enabled_labels[i] - live[j]:
+                best.setdefault((j, x), (i, t))
     witnesses = [
         LocalDeadlockWitness(
             trace=trace_to(i) + (t,), marking=graph.nodes[j], dead_label=x, live_labels=live[j]
         )
-        for (j, x), (_, i, t) in best.items()
+        for (j, x), (i, t) in best.items()
     ]
     return sorted(witnesses, key=lambda w: (len(w.trace), w.trace, w.dead_label))
 
 
 def _live_labels(
-    successors: list[list[int]], enabled_labels: list[set[str]]
+    predecessors: list[list[int]], enabled_labels: list[set[str]]
 ) -> list[frozenset[str]]:
-    """For every node, the labels enabled at some node reachable from it.
-
-    One pass of Tarjan's strongly connected components (1972), iterative
-    because graphs may hold 10^6 nodes.  A component closes only after every
-    component it reaches, so its set is final then: its members' labels
-    plus the sets of the closed components they lead to.
-    """
-    n = len(successors)
-    index = [-1] * n  # DFS visit number
-    low = [0] * n
-    live: list[frozenset[str] | None] = [None] * n  # None until the node's component closes
-    stack: list[int] = []  # visited nodes of open components
-    work: list[tuple[int, Iterator[int]]] = []  # the DFS path, each with its unread successors
-    visits = count()
-
-    def visit(v: int):
-        index[v] = low[v] = next(visits)
-        stack.append(v)
-        work.append((v, iter(successors[v])))
-
-    for root in range(n):
-        if index[root] < 0:
-            visit(root)
-        while work:
-            v, rest = work[-1]
-            for w in rest:
-                if index[w] < 0:
-                    visit(w)
-                    break
-                if live[w] is None:  # on the stack
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                if low[v] == index[v]:
-                    component = [stack.pop()]
-                    while component[-1] != v:
-                        component.append(stack.pop())
-                    labels = frozenset().union(
-                        *(enabled_labels[u] for u in component),
-                        *(live[w] for u in component for w in successors[u] if live[w]),
-                    )  # live[w] is still None inside this component
-                    for u in component:
-                        live[u] = labels
-    return live
+    """For every node, the labels enabled at some node reachable from it:
+    one backward search per label from the nodes that enable it."""
+    live: list[set[str]] = [set() for _ in predecessors]
+    for x in set().union(*enabled_labels):
+        stack = [i for i, labels in enumerate(enabled_labels) if x in labels]
+        for i in stack:
+            live[i].add(x)
+        while stack:
+            for i in predecessors[stack.pop()]:
+                if x not in live[i]:
+                    live[i].add(x)
+                    stack.append(i)
+    return [frozenset(labels) for labels in live]
 
 
 def deadlock_text(witnesses: Iterable[LocalDeadlockWitness]) -> str:

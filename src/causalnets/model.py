@@ -12,6 +12,7 @@ existence; a set of such tokens is a dependency marking.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -163,6 +164,14 @@ def postset(net: LabelledNet, x) -> frozenset[str]:
     for e in x:
         out |= postset(net, e)
     return out
+
+
+def _enabled(net: LabelledNet, places: frozenset[str], t: str) -> bool:
+    """The firing rule for one transition: ``places`` covers its preset and
+    none of its pure postset places, so firing it cannot put a second token
+    on a place."""
+    pre = net._preset[t]
+    return pre <= places and not (places - pre) & net._postset[t]
 
 
 def net_end(net: LabelledNet) -> frozenset[str]:
@@ -346,13 +355,25 @@ def check_contact_free(net: LabelledNet, state_limit: int = DEFAULT_STATE_LIMIT)
 
     A violation is a reachable marking covering some transition's preset
     while already marking one of its pure postset places.  Exploration uses
-    the firing rule that refuses such steps, so the first hit in BFS order
-    is reported, unless the state limit was hit before it.
+    the firing rule that refuses such steps, so the first hit is reported.
     """
-    from .semantics import explore_reachable  # semantics builds on this module
-
-    graph = explore_reachable(net, dependency=False, state_limit=state_limit, steps=False)
-    if graph.contact is not None:
-        marking, transition = graph.contact
-        return ContactVerdict("violation", marking=marking, transition=transition)
-    return ContactVerdict("limit_exceeded" if graph.limit_exceeded else "contact_free")
+    if state_limit < 1:
+        raise ValueError("state_limit must be at least 1")
+    order = sorted(net.transitions)
+    seen = {net.initial_marking}
+    queue = deque([net.initial_marking])
+    while queue:
+        m = queue.popleft()
+        for t in order:
+            pre = net._preset[t]
+            if not pre <= m:
+                continue
+            if not _enabled(net, m, t):
+                return ContactVerdict("violation", marking=m, transition=t)
+            m2 = (m - pre) | net._postset[t]
+            if m2 not in seen:
+                if len(seen) >= state_limit:
+                    return ContactVerdict("limit_exceeded")
+                seen.add(m2)
+                queue.append(m2)
+    return ContactVerdict("contact_free")

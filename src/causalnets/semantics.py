@@ -22,6 +22,7 @@ from .model import (
     LabelledNet,
     NetError,
     UnknownElementError,
+    _enabled,
     initial_dependency_marking,
 )
 
@@ -54,14 +55,6 @@ def _as_step(net: LabelledNet, step: Iterable[str]) -> frozenset[str]:
     if unknown:
         raise UnknownElementError(f"unknown transitions in step: {sorted(unknown)}")
     return G
-
-
-def _enabled(net: LabelledNet, places: frozenset[str], t: str) -> bool:
-    """The firing rule for one transition: ``places`` covers its preset and
-    none of its pure postset places, so firing it cannot put a second token
-    on a place."""
-    pre = net._preset[t]
-    return pre <= places and not (places - pre) & net._postset[t]
 
 
 def _independent(net: LabelledNet, t: str, u: str) -> bool:
@@ -230,10 +223,7 @@ class ReachGraph:
     ``dependency=False``.  Built with ``steps=True`` the edges record every
     enabled step, so the graph also carries the step-concurrency
     information; built with ``steps=False`` they record the interleavings:
-    one edge per enabled transition.  ``contact`` is the first reachable
-    (plain marking, transition) pair in BFS order whose firing is refused
-    because it would put a second token on a place, as long as it was met
-    before the state limit cut the exploration.
+    one edge per enabled transition.
     """
 
     dependency: bool
@@ -242,7 +232,6 @@ class ReachGraph:
     state_bound: int
     limit_exceeded: bool
     index: dict = field(repr=False)
-    contact: tuple[frozenset[str], str] | None = None
 
     @property
     def root(self):
@@ -290,7 +279,6 @@ def explore_reachable(
     index = {root: 0}
     edges: list[ReachEdge] = []
     limit_exceeded = False
-    contact = None
 
     def add_edge(i: int, g: frozenset[str], labels: tuple[str, ...], m2):
         nonlocal limit_exceeded
@@ -308,19 +296,18 @@ def explore_reachable(
     single = {t: (frozenset((t,)), (net.labelling[t],)) for t in order}
     for i, m in enumerate(nodes):  # the BFS queue: nodes are appended in discovery order
         places = m.places if dependency else m
-        for t in order:
-            if not _enabled(net, places, t):
-                if contact is None and not limit_exceeded and pre[t] <= places:
-                    contact = (places, t)
-            elif not steps:
-                g, labels = single[t]
-                add_edge(i, g, labels, _fire(net, m, g) if dependency else (m - pre[t]) | post[t])
-        # Fire and record one step at a time rather than collecting the
-        # successors first: a node of loops(12) enables 4095 steps.
-        for g in enabled_steps(net, places) if steps else ():
-            labels = tuple(sorted(net.labelling[t] for t in g))
-            add_edge(i, g, labels, _fire(net, m, g) if dependency else m.difference(
-                *(pre[t] for t in g)).union(*(post[t] for t in g)))
+        if not steps:
+            for t in order:
+                if _enabled(net, places, t):
+                    g, labels = single[t]
+                    add_edge(i, g, labels, _fire(net, m, g) if dependency else (m - pre[t]) | post[t])
+        else:
+            # Fire and record one step at a time rather than collecting the
+            # successors first: a node of loops(12) enables 4095 steps.
+            for g in enabled_steps(net, places):
+                labels = tuple(sorted(net.labelling[t] for t in g))
+                add_edge(i, g, labels, _fire(net, m, g) if dependency else m.difference(
+                    *(pre[t] for t in g)).union(*(post[t] for t in g)))
     return ReachGraph(
         dependency=dependency,
         nodes=nodes,
@@ -328,7 +315,6 @@ def explore_reachable(
         state_bound=state_bound(net),
         limit_exceeded=limit_exceeded,
         index=index,
-        contact=contact,
     )
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .model import TAU, LabelledNet, UnknownElementError
-from .semantics import LimitExceededError, _enabled
+from .model import TAU, LabelledNet, UnknownElementError, _enabled
+from .semantics import LimitExceededError
 
 
 def default_event_limit(visible_bound: int) -> int:

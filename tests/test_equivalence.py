@@ -169,6 +169,45 @@ class TestLocalDeadlock:
         with pytest.raises(cn.LimitExceededError):
             cn.find_local_deadlock(fig("deadlocking"), state_limit=1)
 
+    def test_each_witness_has_the_least_trace(self):
+        # Among all invisible firings into the witness marking from a marking
+        # enabling the dead label, each after the least (length, sequence)
+        # firing sequence to its source, the witness has the least trace.
+        import random
+
+        from causalnets.semantics import plain_enabled, plain_fire
+
+        rng = random.Random(1)
+        compared = 0
+        for _ in range(2000):  # few draws offer a choice; these take ~0.3 s
+            net = random_net(rng, max_places=6, max_transitions=8, tau_prob=0.5)
+            order = sorted(net.transitions)
+            moves = {}  # marking -> [(t, successor)] over the enabled transitions
+            least = {net.initial_marking: ()}
+            level = [net.initial_marking]
+            while level:
+                found = {}
+                for m in level:
+                    moves[m] = [(t, plain_fire(net, m, (t,)))
+                                for t in order if plain_enabled(net, m, (t,))]
+                    for t, m2 in moves[m]:
+                        trace = least[m] + (t,)
+                        if m2 not in least and (m2 not in found or trace < found[m2]):
+                            found[m2] = trace
+                least.update(found)
+                level = sorted(found, key=found.get)
+            for w in cn.find_local_deadlock(net):
+                candidates = [
+                    least[m] + (t,)
+                    for m, out in moves.items()
+                    if any(net.labelling[u] == w.dead_label for u, _ in out)
+                    for t, m2 in out
+                    if m2 == w.marking and net.labelling[t] == cn.TAU
+                ]
+                compared += len(candidates) > 1
+                assert w.trace == min(candidates, key=lambda trace: (len(trace), trace))
+        assert compared >= 5
+
 
 def test_live_labels_match_per_node_search():
     import random
@@ -178,11 +217,13 @@ def test_live_labels_match_per_node_search():
         net = random_net(rng, max_places=6, max_transitions=6, tau_prob=0.5)
         graph = cn.explore_reachable(net, dependency=False, steps=False)
         successors = [[] for _ in graph.nodes]
+        predecessors = [[] for _ in graph.nodes]
         enabled = [set() for _ in graph.nodes]
         for e in graph.edges:
             successors[e.source].append(e.target)
+            predecessors[e.target].append(e.source)
             enabled[e.source] |= {net.labelling[t] for t in e.step} - {cn.TAU}
-        live = _live_labels(successors, [frozenset(x) for x in enabled])
+        live = _live_labels(predecessors, [frozenset(x) for x in enabled])
         for i in range(len(graph.nodes)):
             seen, stack, acc = {i}, [i], set()
             while stack:
@@ -197,6 +238,6 @@ def test_live_labels_match_per_node_search():
 
 def test_live_labels_on_a_long_path():
     n = 20_000  # far deeper than the recursion limit
-    successors = [[i + 1] for i in range(n - 1)] + [[n - 1]]
+    predecessors = [[]] + [[i - 1] for i in range(1, n - 1)] + [[n - 2, n - 1]]
     labels = [frozenset()] * (n - 1) + [frozenset({"a"})]
-    assert _live_labels(successors, labels) == [frozenset({"a"})] * n
+    assert _live_labels(predecessors, labels) == [frozenset({"a"})] * n

@@ -2,8 +2,9 @@
 
 The interleaving graph (``steps=False``) must reach exactly the markings of
 the step graph, carry exactly its singleton edges, cut off at the same
-state limits, and decide contact-freeness as the breadth-first search that
-``check_contact_free`` ran on its own before it used the explorer.
+state limits.  ``check_contact_free``, which now tests firings with the
+shared enabledness predicate, must still decide as the search written with
+its own inline firing rule.
 """
 
 import random
@@ -19,8 +20,8 @@ from helpers import random_contact_free_nets, random_net
 
 def old_contact_search(net, state_limit):
     """The contact-freeness search as it was written before it shared the
-    explorer: the first contact, or the first marking past the limit, in
-    BFS order over sorted transitions decides."""
+    enabledness predicate: the first contact, or the first marking past the
+    limit, in BFS order over sorted transitions decides."""
     order = sorted(net.transitions)
     seen = {net.initial_marking}
     queue = deque([net.initial_marking])
