@@ -15,12 +15,6 @@ from pathlib import Path
 from . import distributability, equivalence, model, semantics, transforms, unfolding
 
 
-def _pomset_fields(pomset: unfolding.Pomset) -> tuple[str, str]:
-    events = " ".join(f"e{i + 1}:{lab}" for i, lab in enumerate(pomset.labels))
-    order = " ".join(f"e{u + 1}<e{v + 1}" for u, v in pomset.order)
-    return events, order
-
-
 def _load(path: str) -> model.LabelledNet:
     return model.parse_net(Path(path).read_text(encoding="utf-8"))
 
@@ -115,12 +109,12 @@ def _cmd_unfold(args) -> int:
     entries = unfolding.enumerate_processes(net, args.bound, args.event_limit)
     if args.complete_only:
         entries = [e for e in entries if e.maximal]
-    for i, entry in enumerate(entries):
-        pomset = unfolding.visible_pomset(entry.process)
+    pomsets = unfolding.visible_pomsets(e.process for e in entries)
+    for i, (entry, pomset) in enumerate(zip(entries, pomsets)):
         maximal = "yes" if entry.maximal else "no"
         saturated = "yes" if entry.saturated else "no"
         if args.format == "tsv":
-            events, order = _pomset_fields(pomset)
+            events, order = pomset.fields()
             print(
                 f"process\t{i}\t{entry.process.visible_count}\t{entry.process.event_count}"
                 f"\t{maximal}\t{saturated}\t{events}\t{order}"
@@ -141,7 +135,7 @@ def _cmd_pomsets(args) -> int:
     if args.format == "tsv":
         for kind, pomsets in (("complete", obs.complete), ("partial", obs.partial)):
             for pomset in sorted(pomsets):
-                events, order = _pomset_fields(pomset)
+                events, order = pomset.fields()
                 print(f"{kind}\t{events}\t{order}")
         print(f"divergent\t{divergent}")
     else:
@@ -162,7 +156,7 @@ def _cmd_compare(args) -> int:
             print(f"verdict\tEQUIVALENT\t{verdict.bound}")
         else:
             w = verdict.witness
-            events, order = _pomset_fields(w.pomset)
+            events, order = w.pomset.fields()
             print(f"verdict\tINEQUIVALENT\t{verdict.bound}")
             print(f"witness\t{w.side}\t{w.kind}\t{events}\t{order}")
     else:

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .model import DEFAULT_STATE_LIMIT, TAU, LabelledNet, render_marking
 from .semantics import LimitExceededError, explore_reachable
-from .unfolding import Pomset, enumerate_processes, visible_pomset
+from .unfolding import Pomset, enumerate_processes, visible_pomsets
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,13 @@ def bounded_observation(
     net: LabelledNet, k: int, event_limit: int | None = None
 ) -> BoundedObservation:
     """Collect the complete and partial pomsets of a net at bound ``k``."""
+    entries = enumerate_processes(net, k, event_limit)
+    shown = [e for e in entries if e.maximal or e.process.visible_count == k]
     complete: set[Pomset] = set()
     partial: set[Pomset] = set()
-    divergent = False
-    for entry in enumerate_processes(net, k, event_limit):
-        if entry.saturated:
-            divergent = True
-        if entry.maximal:
-            complete.add(visible_pomset(entry.process))
-        elif entry.process.visible_count == k:
-            partial.add(visible_pomset(entry.process))
+    for entry, pomset in zip(shown, visible_pomsets(e.process for e in shown)):
+        (complete if entry.maximal else partial).add(pomset)
+    divergent = any(e.saturated for e in entries)
     return BoundedObservation(frozenset(complete), frozenset(partial), k, divergent)
 
 

@@ -207,7 +207,7 @@ def state_bound(net: LabelledNet) -> int:
     return (2 ** len(net.visible_labels) + 1) ** len(net.places)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReachEdge:
     source: int
     step: frozenset[str]

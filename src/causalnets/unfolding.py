@@ -2,8 +2,12 @@
 
 A process is one conflict-free unrolling of a net: an acyclic occurrence
 net whose conditions and events fold back onto the original places and
-transitions.  Hiding the invisible events of a process and keeping the
-causal order of the visible ones yields a pomset; pomsets are stored in a
+transitions.  The processes grown from one initial process are
+configurations of one branching-process prefix (McMillan 1992; Esparza and
+Heljanko, *Unfoldings*, 2008): the prefix stores each event once, and a
+process is the set of its events, held as an int with one bit per prefix
+event.  Hiding the invisible events of a process and keeping the causal
+order of the visible ones yields a pomset; pomsets are stored in a
 canonical form so that value equality coincides with isomorphism.
 """
 
@@ -12,9 +16,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .model import TAU, LabelledNet, UnknownElementError, _enabled
+from .model import TAU, LabelledNet, NetError, UnknownElementError, _enabled
 from .semantics import LimitExceededError
 
 
@@ -22,182 +26,239 @@ def default_event_limit(visible_bound: int) -> int:
     return 10 * visible_bound + 50
 
 
-class Process:
-    """An occurrence net plus the folding map onto the original net.
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Instances are immutable; extension produces a new process.  ``occ_net``
-    and ``fold`` materialise the occurrence-net view on demand, while the
-    incremental fields keep extension and deduplication cheap.  ``key`` is a
-    structural fingerprint: two processes of the same net are isomorphic as
-    folded occurrence nets exactly when their keys are equal.
+
+class _Prefix:
+    """The branching process shared by the processes grown from one initial
+    process.
+
+    Conditions and events are numbered from 0 in creation order, which is a
+    causal order; conditions ``0 .. len(initial marking) - 1`` are the
+    initial ones, one per marked place in sorted order.  An event is stored
+    once, under the key ``(t, consumed condition ids)``, or ``(t, n)`` for
+    the n-th occurrence of an input-less ``t``.  Per event the prefix keeps
+    its transition, the conditions it consumes and produces, and the mask of
+    the visible events strictly before it.
     """
 
-    __slots__ = (
-        "cond_place", "event_trans", "event_label", "pre_of", "post_of",
-        "producer", "consumer", "names", "key", "visible_count",
-        "end_conditions", "_occ_net",
-    )
+    __slots__ = ("net", "moves", "cond_place", "cond_producer", "index", "trans",
+                 "pre", "post", "vpast", "visible", "inputless", "_names")
 
-    def __init__(self, cond_place, event_trans, event_label, pre_of, post_of,
-                 producer, consumer, names, key, visible_count, end_conditions):
-        self.cond_place = cond_place
-        self.event_trans = event_trans
-        self.event_label = event_label
-        self.pre_of = pre_of
-        self.post_of = post_of
-        self.producer = producer
-        self.consumer = consumer
-        self.names = names
-        self.key = key
+    def __init__(self, net: LabelledNet):
+        self.net = net
+        # per transition: sorted preset, sorted postset, pure postset, visibility
+        self.moves = {
+            t: (tuple(sorted(net._preset[t])), tuple(sorted(net._postset[t])),
+                tuple(sorted(net._postset[t] - net._preset[t])), net.labelling[t] != TAU)
+            for t in net.transitions
+        }
+        self.cond_place: list[str] = sorted(net.initial_marking)
+        self.cond_producer: list[int | None] = [None] * len(self.cond_place)
+        self.index: dict[tuple, int] = {}
+        self.trans: list[str] = []
+        self.pre: list[tuple[int, ...]] = []
+        self.post: list[tuple[int, ...]] = []
+        self.vpast: list[int] = []
+        self.visible = 0  # mask of the visible events
+        self.inputless: dict[str, list[int]] = {}  # t -> its input-less events, 1st, 2nd, ...
+        self._names: dict[int, tuple] = {}
+
+    def add_event(self, key: tuple, t: str, chosen: tuple[int, ...]) -> int:
+        e = len(self.trans)
+        _, places, _, visible = self.moves[t]
+        vpast = 0
+        for c in chosen:
+            p = self.cond_producer[c]
+            if p is not None:  # p's visible past, and p itself when visible
+                vpast |= self.vpast[p] | self.visible & 1 << p
+        self.index[key] = e
+        self.trans.append(t)
+        self.pre.append(chosen)
+        self.vpast.append(vpast)
+        if visible:
+            self.visible |= 1 << e
+        base = len(self.cond_place)
+        self.post.append(tuple(range(base, base + len(places))))
+        self.cond_place.extend(places)
+        self.cond_producer.extend([e] * len(places))
+        if not chosen:
+            self.inputless[t].append(e)
+        return e
+
+    def name(self, e: int) -> tuple:
+        """A structural name for event ``e``, equal for the same event of
+        prefixes built separately from equal nets."""
+        name = self._names.get(e)
+        if name is None:
+            t, chosen = self.trans[e], self.pre[e]
+            if chosen:
+                name = ("e", t, frozenset(self._cond_name(c) for c in chosen))
+            else:
+                name = ("e0", t, self.inputless[t].index(e))
+            self._names[e] = name
+        return name
+
+    def _cond_name(self, c: int) -> tuple:
+        p = self.cond_producer[c]
+        return ("c0", self.cond_place[c]) if p is None else ("c", self.name(p), self.cond_place[c])
+
+
+class Process:
+    """A configuration of a branching-process prefix.
+
+    ``config`` has bit ``e`` set for each prefix event ``e`` in the process;
+    ``end`` maps each place marked at the end of the process to the prefix
+    condition on it (the net is 1-safe, so there is at most one).
+    Instances are immutable; extension produces a new process sharing the
+    prefix.  ``occ_net``, ``fold``, ``conditions``, ``events``, ``producer``
+    and ``event_trans`` build the occurrence-net view, with conditions
+    ``c<i>`` and events ``e<i>`` named after their prefix ids, on demand.
+    ``key`` is a structural fingerprint: two processes of the same net,
+    built by separate calls or not, are isomorphic as folded occurrence nets
+    exactly when their keys are equal.
+    """
+
+    __slots__ = ("prefix", "config", "end", "visible_count", "event_count", "_key")
+
+    def __init__(self, prefix: _Prefix, config: int, end: dict[str, int],
+                 visible_count: int, event_count: int):
+        self.prefix = prefix
+        self.config = config
+        self.end = end
         self.visible_count = visible_count
-        self.end_conditions = end_conditions
-        self._occ_net = None
+        self.event_count = event_count
+        self._key = None
+
+    @property
+    def key(self) -> frozenset:
+        if self._key is None:
+            self._key = frozenset(self.prefix.name(e) for e in _bits(self.config))
+        return self._key
+
+    def _condition_ids(self) -> list[int]:
+        ids = list(range(len(self.prefix.net.initial_marking)))
+        for e in _bits(self.config):
+            ids.extend(self.prefix.post[e])
+        return ids
 
     @property
     def conditions(self) -> tuple[str, ...]:
-        return tuple(self.cond_place)
+        return tuple(f"c{c + 1}" for c in self._condition_ids())
 
     @property
     def events(self) -> tuple[str, ...]:
-        return tuple(self.event_trans)
+        """Event names in creation order, which is a causal order."""
+        return tuple(f"e{e + 1}" for e in _bits(self.config))
 
     @property
-    def event_count(self) -> int:
-        return len(self.event_trans)
+    def event_trans(self) -> Mapping[str, str]:
+        return MappingProxyType({f"e{e + 1}": self.prefix.trans[e] for e in _bits(self.config)})
+
+    @property
+    def producer(self) -> Mapping[str, str | None]:
+        producer = self.prefix.cond_producer
+        return MappingProxyType({
+            f"c{c + 1}": None if producer[c] is None else f"e{producer[c] + 1}"
+            for c in self._condition_ids()
+        })
 
     @property
     def fold(self) -> Mapping[str, str]:
-        merged = dict(self.cond_place)
+        merged = {f"c{c + 1}": self.prefix.cond_place[c] for c in self._condition_ids()}
         merged.update(self.event_trans)
         return MappingProxyType(merged)
 
     @property
     def occ_net(self) -> LabelledNet:
-        if self._occ_net is None:
-            flow = set()
-            for e, conds in self.pre_of.items():
-                flow.update((c, e) for c in conds)
-            for e, conds in self.post_of.items():
-                flow.update((e, c) for c in conds)
-            self._occ_net = LabelledNet(
-                places=frozenset(self.cond_place),
-                transitions=frozenset(self.event_trans),
-                flow=frozenset(flow),
-                initial_marking=frozenset(
-                    c for c in self.cond_place if self.producer[c] is None
-                ),
-                labelling=dict(self.event_label),
-            )
-        return self._occ_net
-
-    def end(self) -> frozenset[str]:
-        """Conditions not yet consumed by any event."""
-        return self.end_conditions
+        prefix = self.prefix
+        flow = set()
+        for e in _bits(self.config):
+            flow.update((f"c{c + 1}", f"e{e + 1}") for c in prefix.pre[e])
+            flow.update((f"e{e + 1}", f"c{c + 1}") for c in prefix.post[e])
+        event_trans = self.event_trans
+        return LabelledNet(
+            places=frozenset(self.conditions),
+            transitions=frozenset(event_trans),
+            flow=frozenset(flow),
+            initial_marking=frozenset(
+                f"c{c + 1}" for c in range(len(prefix.net.initial_marking))
+            ),
+            labelling={e: prefix.net.labelling[t] for e, t in event_trans.items()},
+        )
 
     def end_marking(self) -> frozenset[str]:
-        """The original-net marking the unconsumed conditions fold onto."""
-        return frozenset(self.cond_place[c] for c in self.end_conditions)
+        """The original-net marking at the end of the process."""
+        return frozenset(self.end)
 
     def __repr__(self):
         return (f"Process(events={self.event_count}, "
-                f"visible={self.visible_count}, end={sorted(self.end_conditions)})")
+                f"visible={self.visible_count}, end={sorted(self.end)})")
 
 
 def initial_process(net: LabelledNet) -> Process:
-    """The process with one condition per initially marked place and no events."""
-    cond_place: dict[str, str] = {}
-    names: dict[str, tuple] = {}
-    for i, place in enumerate(sorted(net.initial_marking), start=1):
-        cid = f"c{i}"
-        cond_place[cid] = place
-        names[cid] = ("c0", place)
-    return Process(
-        cond_place=cond_place,
-        event_trans={},
-        event_label={},
-        pre_of={},
-        post_of={},
-        producer={c: None for c in cond_place},
-        consumer={c: None for c in cond_place},
-        names=names,
-        key=frozenset(),
-        visible_count=0,
-        end_conditions=frozenset(cond_place),
-    )
+    """The process with one condition per initially marked place and no
+    events, on a new prefix that the processes extended from it share."""
+    prefix = _Prefix(net)
+    return Process(prefix, 0, {place: c for c, place in enumerate(prefix.cond_place)}, 0, 0)
 
 
-def _extension(net: LabelledNet, process: Process, t: str):
-    """Conditions a new ``t``-event would consume plus its structural name,
-    or None when the process end cannot supply ``t``'s preset."""
-    if t not in net.transitions:
-        raise UnknownElementError(f"unknown transition {t!r}")
+def _extension(process: Process, t: str) -> int | None:
+    """The prefix event of one more ``t`` at the process end, added to the
+    prefix if new, or None when the end cannot supply ``t``'s preset.
+
+    Raises NetError when ``t`` would put a second token on a place."""
+    prefix = process.prefix
+    pre, _, pure_post, _ = prefix.moves[t]
+    end = process.end
     chosen = []
-    for place in sorted(net._preset[t]):
-        candidates = [c for c in process.end_conditions if process.cond_place[c] == place]
-        if not candidates:
+    for place in pre:
+        c = end.get(place)
+        if c is None:
             return None
-        chosen.append(min(candidates))
+        chosen.append(c)
+    for place in pure_post:
+        if place in end:
+            raise NetError(f"contact: transition {t} puts a second token on place {place}")
     if chosen:
-        name = ("e", t, frozenset(process.names[c] for c in chosen))
+        key = (t, tuple(chosen))
     else:
-        # events without inputs are interchangeable; number them per transition
-        repeat = sum(
-            1 for e, tr in process.event_trans.items() if tr == t and not process.pre_of[e]
-        )
-        name = ("e0", t, repeat)
-    return tuple(chosen), name
+        # input-less events are interchangeable; number them per transition
+        occurrences = prefix.inputless.setdefault(t, [])
+        n = 0
+        while n < len(occurrences) and process.config >> occurrences[n] & 1:
+            n += 1
+        key = (t, n)
+    e = prefix.index.get(key)
+    return prefix.add_event(key, t, tuple(chosen)) if e is None else e
 
 
-def _extend_with(net: LabelledNet, process: Process, t: str, chosen, name) -> Process:
-    eid = f"e{process.event_count + 1}"
-    cond_place = dict(process.cond_place)
-    producer = dict(process.producer)
-    consumer = dict(process.consumer)
-    names = dict(process.names)
-    base = len(cond_place)
-    fresh = []
-    for offset, place in enumerate(sorted(net._postset[t]), start=1):
-        cid = f"c{base + offset}"
-        fresh.append(cid)
-        cond_place[cid] = place
-        producer[cid] = eid
-        consumer[cid] = None
-        names[cid] = ("c", name, place)
-    for c in chosen:
-        consumer[c] = eid
-    names[eid] = name
-
-    event_trans = dict(process.event_trans)
-    event_trans[eid] = t
-    event_label = dict(process.event_label)
-    event_label[eid] = net.labelling[t]
-    pre_of = dict(process.pre_of)
-    pre_of[eid] = frozenset(chosen)
-    post_of = dict(process.post_of)
-    post_of[eid] = frozenset(fresh)
-
-    return Process(
-        cond_place=cond_place,
-        event_trans=event_trans,
-        event_label=event_label,
-        pre_of=pre_of,
-        post_of=post_of,
-        producer=producer,
-        consumer=consumer,
-        names=names,
-        key=process.key | {name},
-        visible_count=process.visible_count + (1 if net.labelling[t] != TAU else 0),
-        end_conditions=(process.end_conditions - set(chosen)) | frozenset(fresh),
-    )
+def _extend(process: Process, e: int) -> Process:
+    prefix = process.prefix
+    t = prefix.trans[e]
+    pre, post, _, visible = prefix.moves[t]
+    end = dict(process.end)
+    for place in pre:
+        del end[place]
+    end.update(zip(post, prefix.post[e]))
+    return Process(prefix, process.config | 1 << e, end,
+                   process.visible_count + visible, process.event_count + 1)
 
 
 def extend_process(net: LabelledNet, process: Process, t: str) -> Process | None:
-    """Replay one firing of ``t`` at the end of the process, if possible."""
-    ext = _extension(net, process, t)
-    if ext is None:
-        return None
-    chosen, name = ext
-    return _extend_with(net, process, t, chosen, name)
+    """Replay one firing of ``t`` at the end of the process, if possible.
+
+    ``net`` is the net the process was grown from.  Raises NetError when
+    the firing would put a second token on a place (the net has contact)."""
+    if t not in net.transitions:
+        raise UnknownElementError(f"unknown transition {t!r}")
+    e = _extension(process, t)
+    return None if e is None else _extend(process, e)
 
 
 def is_maximal(net: LabelledNet, process: Process) -> bool:
@@ -223,15 +284,18 @@ def enumerate_processes(
 ) -> list[ProcessEntry]:
     """All processes with at most ``visible_bound`` visible events.
 
-    Processes are deduplicated structurally, so distinct interleavings of
-    independent firings appear once.  Invisible events are capped only by
-    ``event_limit`` (default ``10 * visible_bound + 50``); a process whose
-    permitted extensions were cut off by that cap is flagged ``saturated``,
-    which signals a potential divergence.
+    The processes are configurations of one prefix, grown breadth-first
+    over sorted transitions and deduplicated by their event sets, so
+    distinct interleavings of independent firings appear once.  Invisible
+    events are capped only by ``event_limit`` (default
+    ``10 * visible_bound + 50``); a process whose permitted extensions were
+    cut off by that cap is flagged ``saturated``, which signals a potential
+    divergence.
 
     ``process_limit``, when given, aborts with LimitExceededError once the
     closure grows past that many distinct processes; nets whose invisible
     transitions chain through shared places can have exponentially many.
+    Raises NetError when a firing would put a second token on a place.
     """
     if visible_bound < 0:
         raise ValueError("visible_bound must be nonnegative")
@@ -239,7 +303,7 @@ def enumerate_processes(
         event_limit = default_event_limit(visible_bound)
     order = sorted(net.transitions)
     start = initial_process(net)
-    seen = {start.key}
+    seen = {0}
     queue = deque([start])
     entries: list[ProcessEntry] = []
     while queue:
@@ -248,20 +312,19 @@ def enumerate_processes(
         for t in order:
             if net.labelling[t] != TAU and process.visible_count >= visible_bound:
                 continue
-            ext = _extension(net, process, t)
-            if ext is None:
+            e = _extension(process, t)
+            if e is None:
                 continue
             if process.event_count + 1 > event_limit:
                 saturated = True
                 continue
-            chosen, name = ext
-            key = process.key | {name}
-            if key in seen:
+            config = process.config | 1 << e
+            if config in seen:
                 continue
             if process_limit is not None and len(seen) >= process_limit:
                 raise LimitExceededError(f"more than {process_limit} distinct processes")
-            seen.add(key)
-            queue.append(_extend_with(net, process, t, chosen, name))
+            seen.add(config)
+            queue.append(_extend(process, e))
         entries.append(ProcessEntry(process, is_maximal(net, process), saturated))
     return entries
 
@@ -358,9 +421,15 @@ class Pomset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def text(self) -> str:
+    def fields(self) -> tuple[str, str]:
+        """The event list and the order pairs, as ``text`` and the CLI's TSV
+        rows print them."""
         events = " ".join(f"e{i + 1}:{lab}" for i, lab in enumerate(self.labels))
         pairs = " ".join(f"e{u + 1}<e{v + 1}" for u, v in self.order)
+        return events, pairs
+
+    def text(self) -> str:
+        events, pairs = self.fields()
         return (f"events: {events}" if events else "events:") + "\n" + (
             f"order: {pairs}" if pairs else "order:"
         ) + "\n"
@@ -449,23 +518,26 @@ def canonicalize(o: LPO) -> Pomset:
 
 def visible_pomset(process: Process) -> Pomset:
     """The causal order between the process's visible events, canonicalised."""
-    ancestors: dict[str, set[str]] = {}
-    for e in process.event_trans:  # insertion order is topological
-        acc: set[str] = set()
-        for c in process.pre_of[e]:
-            p = process.producer[c]
-            if p is not None:
-                acc.add(p)
-                acc |= ancestors[p]
-        ancestors[e] = acc
-    visible = [e for e in process.event_trans if process.event_label[e] != TAU]
-    visible_set = set(visible)
-    below = frozenset(
-        (u, v) for v in visible for u in ancestors[v] if u in visible_set
-    )
-    return canonicalize(
-        LPO(tuple(visible), {e: process.event_label[e] for e in visible}, below)
-    )
+    prefix = process.prefix
+    visible = tuple(_bits(process.config & prefix.visible))
+    below = frozenset((u, v) for v in visible for u in _bits(prefix.vpast[v]))
+    labels = {e: prefix.net.labelling[prefix.trans[e]] for e in visible}
+    return canonicalize(LPO(visible, labels, below))
+
+
+def visible_pomsets(processes: Iterable[Process]) -> list[Pomset]:
+    """``visible_pomset`` of each process, computed once per distinct set of
+    visible prefix events: the prefix fixes the order between its events,
+    so configurations with the same visible events have the same pomset."""
+    done: dict[tuple[_Prefix, int], Pomset] = {}
+    pomsets = []
+    for process in processes:
+        key = (process.prefix, process.config & process.prefix.visible)
+        pomset = done.get(key)
+        if pomset is None:
+            pomset = done[key] = visible_pomset(process)
+        pomsets.append(pomset)
+    return pomsets
 
 
 def pomsets_text(pomsets: Iterable[Pomset]) -> str:

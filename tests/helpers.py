@@ -247,6 +247,80 @@ def brute_force_distributable(net: cn.LabelledNet) -> bool:
     return False
 
 
+def brute_force_processes(net: cn.LabelledNet, k: int, event_limit: int) -> list[dict]:
+    """Processes with at most ``k`` visible and ``event_limit`` events, from
+    firing sequences alone.
+
+    An event is named by its transition and, per input place, the event
+    that produced the token it consumes there (None for an initial token);
+    an input-less event by its transition and the number of its earlier
+    occurrences.  A firing sequence collapses to the set of its event names,
+    which also fixes the tokens it leaves, so each set is extended once.
+    Returns, per process, its event and visible counts, ``maximal`` (no
+    transition enabled at the end), ``saturated`` (an extension within the
+    visible bound was cut by ``event_limit``), the sorted transitions, and
+    the visible LPO as ``(vertices, labels, below)``.
+    """
+    pre = {t: _pre(net, t) for t in net.transitions}
+    post = {t: _post(net, t) for t in net.transitions}
+
+    def visible(name):
+        return net.labelling[name[0]] != TAU
+
+    tokens_of: dict[frozenset, dict] = {}  # event set -> place -> producer name
+    stack = [(frozenset(), {p: None for p in net.initial_marking})]
+    while stack:
+        events, tokens = stack.pop()
+        if events in tokens_of:
+            continue
+        tokens_of[events] = tokens
+        if len(events) >= event_limit:
+            continue
+        seen_visible = sum(map(visible, events))
+        for t in net.transitions:
+            if not pre[t] <= tokens.keys() or (net.labelling[t] != TAU and seen_visible >= k):
+                continue
+            if pre[t]:
+                name = (t, frozenset((p, tokens[p]) for p in pre[t]))
+            else:
+                name = (t, sum(1 for e in events if e[0] == t))
+            after = {p: x for p, x in tokens.items() if p not in pre[t]}
+            after.update((s, name) for s in post[t])
+            stack.append((events | {name}, after))
+
+    pasts: dict = {}
+
+    def past(name) -> set:
+        if name not in pasts:
+            pasts[name] = set()
+            if isinstance(name[1], frozenset):
+                for _, producer in name[1]:
+                    if producer is not None:
+                        pasts[name] |= {producer} | past(producer)
+        return pasts[name]
+
+    processes = []
+    for events, tokens in tokens_of.items():
+        n_visible = sum(map(visible, events))
+        enabled = [t for t in net.transitions if pre[t] <= tokens.keys()]
+        shown = [e for e in events if visible(e)]
+        processes.append({
+            "events": len(events),
+            "visible": n_visible,
+            "maximal": not enabled,
+            "saturated": len(events) >= event_limit and any(
+                net.labelling[t] == TAU or n_visible < k for t in enabled
+            ),
+            "transitions": tuple(sorted(e[0] for e in events)),
+            "lpo": (
+                tuple(shown),
+                {e: net.labelling[e[0]] for e in shown},
+                {(u, v) for v in shown for u in past(v) if visible(u)},
+            ),
+        })
+    return processes
+
+
 # --- distribution/chain validity ----------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import hashlib
 from pathlib import Path
 
 from causalnets.cli import main
@@ -142,6 +143,29 @@ class TestUnfoldAndPomsets:
         assert code == 0
         assert "complete\te1:b\t" in out
         assert "divergent\tno" in out
+
+    def test_unfold_tsv_bytes_pinned(self, capsys):
+        # SHA-256 of the bytes printed before processes became prefix
+        # configurations: the breadth-first order and every field are pinned
+        pinned = {
+            "pure_m": "85cc544319eb22a505cf07a7766e4c8b8de3b409f39d59e0e2dd367fc5aeba36",
+            "repeated_pure_m": "4925453309657ea7867ec19ce596f6755616bfd979bf0fe83b562a5c594f74f2",
+            "centralised": "71aa1cb3cb94b80fc40ba43ae46f5113858f468a13d67746a280c02d29415b91",
+            "deadlocking": "c1b344006645ac1e468ecb4edf9d8023c20cd01181f6dafa066493e8e071940b",
+        }
+        for name, digest in pinned.items():
+            code, out, _ = run(capsys, "unfold", net(name), "-k", "3", "--format", "tsv")
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+    def test_contact_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.net"
+        bad.write_text("place p *\nplace r *\ntrans t\narc p -> t\narc t -> r\n")
+        for command in ("unfold", "pomsets"):
+            code, out, err = run(capsys, command, str(bad), "-k", "1")
+            assert code == 2
+            assert out == ""
+            assert "transition t" in err and "place r" in err
 
 
 class TestCompare:

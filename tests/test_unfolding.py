@@ -1,6 +1,7 @@
 """Process enumeration, maximality, canonical pomsets."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +10,13 @@ import causalnets as cn
 
 from helpers import (
     brute_force_iso,
+    brute_force_processes,
     lpo_from,
     pomset,
     process_of_run,
     random_contact_free_nets,
     random_lpo,
+    random_tractable_nets,
     shuffled_copy,
 )
 
@@ -60,6 +63,37 @@ class TestExtendProcess:
     def test_unknown_transition(self):
         with pytest.raises(cn.UnknownElementError):
             cn.extend_process(fig2(), cn.initial_process(fig2()), "zz")
+
+
+class TestContact:
+    def contact_net(self):
+        # r stays marked, so firing u after t puts a second token on r
+        return cn.make_net(
+            places=["p", "q", "r"], transitions=["t", "u"],
+            flow=[("p", "t"), ("t", "q"), ("q", "u"), ("u", "r")],
+            initial_marking=["p", "r"], labelling={"t": "a", "u": "b"},
+        )
+
+    def test_extension_raises_naming_transition_and_place(self):
+        net = self.contact_net()
+        p = cn.extend_process(net, cn.initial_process(net), "t")
+        with pytest.raises(cn.NetError, match="transition u .* place r"):
+            cn.extend_process(net, p, "u")
+
+    def test_enumeration_raises_within_the_bound_only(self):
+        net = self.contact_net()
+        assert len(cn.enumerate_processes(net, 1)) == 2
+        with pytest.raises(cn.NetError, match="transition u .* place r"):
+            cn.enumerate_processes(net, 2)
+        with pytest.raises(cn.NetError):
+            cn.bounded_observation(net, 2)
+
+    def test_self_loop_is_not_contact(self):
+        net = cn.make_net(
+            places=["p"], transitions=["t"], flow=[("p", "t"), ("t", "p")],
+            initial_marking=["p"], labelling={"t": "a"},
+        )
+        assert len(cn.enumerate_processes(net, 3)) == 4
 
 
 class TestIsMaximal:
@@ -156,6 +190,68 @@ class TestRunCorrespondence:
                 assert plain_enabled(net, m, (t,))
                 m = plain_fire(net, m, (t,))
             assert m == process.end_marking()
+
+
+def _library_processes(net, k, event_limit):
+    return Counter(
+        (e.process.event_count, e.process.visible_count, e.maximal, e.saturated,
+         tuple(sorted(e.process.event_trans.values())), cn.visible_pomset(e.process))
+        for e in cn.enumerate_processes(net, k, event_limit)
+    )
+
+
+def _oracle_pomset(process):
+    return cn.canonicalize(cn.LPO(*process["lpo"]))
+
+
+def _oracle_processes(processes):
+    return Counter(
+        (p["events"], p["visible"], p["maximal"], p["saturated"], p["transitions"],
+         _oracle_pomset(p))
+        for p in processes
+    )
+
+
+def _oracle_observation(processes, k):
+    return cn.BoundedObservation(
+        complete=frozenset(_oracle_pomset(p) for p in processes if p["maximal"]),
+        partial=frozenset(
+            _oracle_pomset(p) for p in processes if not p["maximal"] and p["visible"] == k
+        ),
+        bound=k,
+        divergent=any(p["saturated"] for p in processes),
+    )
+
+
+class TestAgainstBruteForce:
+    def check(self, net, k, event_limit):
+        processes = brute_force_processes(net, k, event_limit)
+        assert _library_processes(net, k, event_limit) == _oracle_processes(processes)
+        assert cn.bounded_observation(net, k, event_limit) == _oracle_observation(processes, k)
+
+    def test_bundled_nets(self):
+        for name in cn.BUILTIN_NAMES:
+            for k in range(4):
+                self.check(cn.builtin(name), k, 10 * k + 50)
+
+    def test_input_less_transitions(self):
+        # g and s touch no place (with an output place a second firing would
+        # be contact); their occurrences are numbered per transition
+        net = cn.make_net(
+            places=["p", "r"], transitions=["g", "s", "t"], flow=[("p", "t"), ("t", "r")],
+            initial_marking=["p"], labelling={"g": "a", "s": "b"},
+        )
+        for k in range(4):
+            self.check(net, k, 8)
+
+    def test_seeded_random_nets_and_refinements(self):
+        nets = random_tractable_nets(seed=8086, count=40, max_places=5, max_transitions=5)
+        nets += [cn.refine_transition(net, t)[0] for net in nets for t in sorted(net.transitions)]
+        diverging = sum(any(p["saturated"] for p in brute_force_processes(net, 3, 12))
+                        for net in nets)
+        assert 0 < diverging < len(nets)
+        for net in nets:
+            self.check(net, 3, 12)
 
 
 class TestVisiblePomset:
