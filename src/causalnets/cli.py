@@ -57,11 +57,11 @@ def _cmd_reach(args) -> int:
         print(f"nodes\t{len(graph.nodes)}")
         print(f"bound\t{graph.state_bound}")
         print(f"bound-respected\t{yesno}")
-        for i, node in enumerate(graph.nodes):
-            body = node.text() if graph.dependency else " ; ".join(sorted(node))
+        bodies, edges = graph.fields()
+        for i, body in enumerate(bodies):
             print(f"node\t{i}\t{body}")
-        for e in sorted(graph.edges, key=lambda e: (e.source, e.target, tuple(sorted(e.step)))):
-            print(f"edge\t{e.source}\t{','.join(sorted(e.step))}\t{','.join(e.labels)}\t{e.target}")
+        for source, ids, labs, target in edges:
+            print(f"edge\t{source}\t{ids}\t{labs}\t{target}")
     else:
         print(f"mode: {'dependency' if args.dependency else 'plain'}")
         print(f"nodes: {len(graph.nodes)}")

@@ -17,7 +17,13 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .model import DEFAULT_STATE_LIMIT, LabelledNet, render_marking
-from .semantics import LimitExceededError, ReachGraph, _independent, explore_reachable
+from .semantics import (
+    LimitExceededError,
+    ReachGraph,
+    _independent,
+    _shortest_path,
+    explore_reachable,
+)
 
 
 @dataclass(frozen=True)
@@ -134,23 +140,6 @@ def _components(adjacency: dict[str, set[str]]) -> dict[str, str]:
     return component
 
 
-def _shortest_chain(adjacency: dict[str, set[str]], start: str, goal: str) -> tuple[str, ...]:
-    parent: dict[str, str | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        if x == goal:
-            path = [x]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            return tuple(reversed(path))
-        for y in sorted(adjacency[x]):
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    raise AssertionError("endpoints not connected")
-
-
 def check_distributed(
     net: LabelledNet, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> DistributabilityVerdict:
@@ -168,7 +157,7 @@ def check_distributed(
     for pair in sorted(conc.pairs, key=lambda p: tuple(sorted(p))):
         t, u = sorted(pair)
         if component[t] == component[u]:
-            return DistributabilityVerdict(chain=_shortest_chain(adjacency, t, u))
+            return DistributabilityVerdict(chain=_shortest_path(adjacency, t, u))
 
     location_of: dict[str, str] = {}
     roots = sorted({component[t] for t in net.transitions})

@@ -9,10 +9,10 @@ that transition consumed; the invisible label is never recorded.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .model import (
     DEFAULT_STATE_LIMIT,
@@ -26,9 +26,8 @@ from .model import (
     initial_dependency_marking,
 )
 
-DEFAULT_CYCLE_LIMIT = 10**4
-
 Step = frozenset  # nonempty frozenset of transition ids
+T = TypeVar("T")
 
 
 class NotEnabledError(NetError):
@@ -241,15 +240,23 @@ class ReachGraph:
     def bound_respected(self) -> bool:
         return len(self.nodes) <= self.state_bound
 
+    def fields(self) -> tuple[list[str], list[tuple[int, str, str, int]]]:
+        """The node bodies by index and the edges as (source, step ids,
+        labels, target) in output order, as ``to_text`` and the CLI's TSV
+        rows print them."""
+        if self.dependency:
+            bodies = [node.text() for node in self.nodes]
+        else:
+            bodies = [" ; ".join(sorted(node)) for node in self.nodes]
+        edges = sorted(self.edges, key=lambda e: (e.source, e.target, tuple(sorted(e.step))))
+        return bodies, [
+            (e.source, ",".join(sorted(e.step)), ",".join(e.labels), e.target) for e in edges
+        ]
+
     def to_text(self) -> str:
-        lines = []
-        for i, node in enumerate(self.nodes):
-            body = node.text() if self.dependency else " ; ".join(sorted(node))
-            lines.append(f"node {i}: {body}" if body else f"node {i}:")
-        for e in sorted(self.edges, key=lambda e: (e.source, e.target, tuple(sorted(e.step)))):
-            ids = ",".join(sorted(e.step))
-            labs = ",".join(e.labels)
-            lines.append(f"edge {e.source} -[{ids}|{{{labs}}}]-> {e.target}")
+        bodies, edges = self.fields()
+        lines = [f"node {i}: {body}" if body else f"node {i}:" for i, body in enumerate(bodies)]
+        lines += [f"edge {s} -[{ids}|{{{labs}}}]-> {t}" for s, ids, labs, t in edges]
         return "\n".join(lines) + "\n"
 
 
@@ -323,8 +330,14 @@ def explore_reachable(
 
 @dataclass(frozen=True)
 class CycleViolation:
-    """A transition on a reach-graph cycle whose produced tokens' dependency
-    set differs from the dependencies of the tokens it consumed."""
+    """A transition fired on a reach-graph cycle whose produced tokens'
+    dependency set differs from the dependencies of a token it consumed.
+
+    ``cycle`` lists distinct node indices; ``cycle[0] -> cycle[1]`` (a
+    self-loop when ``cycle`` has one node) is the edge whose step contains
+    ``transition``, and the remaining nodes lead back to ``cycle[0]`` along
+    a shortest path.
+    """
 
     cycle: tuple[int, ...]
     transition: str
@@ -339,24 +352,23 @@ class DependencyClass:
     transitions: frozenset[str]
 
 
-def _simple_cycles(adjacency: dict[int, set[int]], n: int, limit: int) -> list[list[int]]:
-    """Simple cycles as index lists whose first entry is the smallest node.
-
-    Enumeration stops after ``limit`` cycles.
-    """
-    cycles: list[list[int]] = []
-    for root in range(n):
-        stack: list[tuple[list[int], set[int]]] = [([root], {root})]
-        while stack:
-            path, on_path = stack.pop()
-            for nxt in sorted(adjacency.get(path[-1], ()), reverse=True):
-                if nxt == root:
-                    cycles.append(list(path))
-                    if len(cycles) >= limit:
-                        return cycles
-                elif nxt > root and nxt not in on_path:
-                    stack.append((path + [nxt], on_path | {nxt}))
-    return cycles
+def _shortest_path(adjacency: Mapping[T, Iterable[T]], start: T, goal: T) -> tuple[T, ...] | None:
+    """A shortest path from ``start`` to ``goal``, both included, following
+    neighbours in sorted order; None when ``goal`` is unreachable."""
+    parent: dict = {start: None}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        if x == goal:
+            path = [x]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return tuple(reversed(path))
+        for y in sorted(adjacency.get(x, ())):
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    return None
 
 
 def _firing_dep_sets(
@@ -368,42 +380,37 @@ def _firing_dep_sets(
     consumed = [tok.deps for tok in marking.tokens if tok.place in pre]
     if not net._postset[t]:
         return consumed, None
-    produced = frozenset({net.labelling[t]} - {TAU}).union(*consumed) if consumed else frozenset(
-        {net.labelling[t]} - {TAU}
-    )
-    return consumed, produced
+    return consumed, frozenset({net.labelling[t]} - {TAU}).union(*consumed)
 
 
-def check_cycle_dependency(
-    net: LabelledNet, graph: ReachGraph, cycle_limit: int = DEFAULT_CYCLE_LIMIT
-) -> list[CycleViolation]:
-    """Check every simple cycle of a dependency reach graph.
+def check_cycle_dependency(net: LabelledNet, graph: ReachGraph) -> list[CycleViolation]:
+    """Check every edge of a dependency reach graph that lies on a cycle.
 
     On a cycle, a transition that produces tokens must produce them with
-    exactly the dependency set carried by each token it consumed; for
-    1-safe nets the returned list is empty.
+    exactly the dependency set carried by each token it consumed.  The
+    check is exact: an edge lies on a cycle exactly when its source is
+    reachable from its target, so each edge is tested once and only an
+    edge with a violating transition pays for one breadth-first search
+    back to its source.  One violation is reported per edge and
+    transition; for 1-safe nets the returned list is empty.
     """
     if not graph.dependency:
         raise ValueError("a dependency reach graph is required")
     if graph.limit_exceeded:
         raise TruncatedGraphError("reach graph was truncated by its state limit")
     adjacency: dict[int, set[int]] = {}
-    steps_between: dict[tuple[int, int], set[frozenset[str]]] = {}
     for e in graph.edges:
         adjacency.setdefault(e.source, set()).add(e.target)
-        steps_between.setdefault((e.source, e.target), set()).add(e.step)
     violations: set[CycleViolation] = set()
-    for cycle in _simple_cycles(adjacency, len(graph.nodes), cycle_limit):
-        for k, i in enumerate(cycle):
-            j = cycle[(k + 1) % len(cycle)]
-            marking = graph.nodes[i]
-            for step in steps_between[(i, j)]:
-                for t in sorted(step):
-                    consumed, produced = _firing_dep_sets(net, marking, t)
-                    if produced is None:
-                        continue
-                    if any(deps != produced for deps in consumed):
-                        violations.add(CycleViolation(tuple(cycle), t))
+    for e in graph.edges:
+        marking = graph.nodes[e.source]
+        bad = []
+        for t in sorted(e.step):
+            consumed, produced = _firing_dep_sets(net, marking, t)
+            if produced is not None and any(deps != produced for deps in consumed):
+                bad.append(t)
+        if bad and (back := _shortest_path(adjacency, e.target, e.source)) is not None:
+            violations.update(CycleViolation((e.source, *back[:-1]), t) for t in bad)
     return sorted(violations, key=lambda v: (v.cycle, v.transition))
 
 
@@ -431,7 +438,7 @@ def dependency_classes(
         for t in sorted(g):
             consumed, produced = _firing_dep_sets(net, m, t)
             if produced is None:
-                produced = frozenset().union(*consumed) if consumed else frozenset()
+                produced = frozenset().union(*consumed)
             groups.setdefault(produced, set()).add(t)
     return frozenset(
         DependencyClass(label_set, frozenset(ts)) for label_set, ts in groups.items()

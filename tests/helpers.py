@@ -321,6 +321,47 @@ def brute_force_processes(net: cn.LabelledNet, k: int, event_limit: int) -> list
     return processes
 
 
+def simple_cycles(graph: cn.ReachGraph):
+    """Every simple cycle of a reach graph, with no cap, as a tuple of node
+    indices that starts at the cycle's smallest node (a generator)."""
+    succ: dict = {}
+    for e in graph.edges:
+        succ.setdefault(e.source, set()).add(e.target)
+    for root in range(len(graph.nodes)):
+        stack = [(root,)]
+        while stack:
+            path = stack.pop()
+            for nxt in succ.get(path[-1], ()):
+                if nxt == root:
+                    yield path
+                elif nxt > root and nxt not in path:
+                    stack.append(path + (nxt,))
+
+
+def brute_force_cycle_violations(net: cn.LabelledNet, graph: cn.ReachGraph) -> set:
+    """``(source, target, transition)`` for every edge on some simple cycle
+    whose step holds a transition that produces tokens with a dependency set
+    other than that of a token it consumes, recomputed from the tokens."""
+    on_cycle = set()
+    for cycle in simple_cycles(graph):
+        on_cycle.update(zip(cycle, cycle[1:] + cycle[:1]))
+    out = set()
+    for e in graph.edges:
+        if (e.source, e.target) not in on_cycle:
+            continue
+        tokens = tokens_of(graph.nodes[e.source])
+        for t in e.step:
+            if not _post(net, t):
+                continue
+            consumed = [set(deps) for (p, deps) in tokens if p in _pre(net, t)]
+            produced = set().union(*consumed)
+            if net.labelling[t] != TAU:
+                produced.add(net.labelling[t])
+            if any(deps != produced for deps in consumed):
+                out.add((e.source, e.target, t))
+    return out
+
+
 # --- distribution/chain validity ----------------------------------------------
 
 

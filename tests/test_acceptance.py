@@ -30,6 +30,7 @@ from helpers import (
     random_dep_marking,
     random_tractable_nets,
     shuffled_copy,
+    simple_cycles,
     tokens_of,
 )
 
@@ -158,8 +159,19 @@ def check_local_deadlock():
 def check_refinement_suite():
     fig2 = cn.builtin("repeated_pure_m")
     jobs = [(fig2, t) for t in ("a", "b", "c")]
-    for net in _corpus():
+    corpus = _corpus()
+    for net in corpus:
         jobs.extend((net, t) for t in sorted(net.transitions))
+    # Most corpus nets enable nothing; pin how many give the comparison
+    # something to compare, so that a corpus change fails here instead of
+    # turning this criterion into a no-op.
+    processes = [cn.enumerate_processes(net, 3, CORPUS_EVENT_LIMIT) for net in corpus]
+    with_events = sum(any(e.process.event_count for e in entries) for entries in processes)
+    with_visible = sum(any(e.process.visible_count for e in entries) for entries in processes)
+    assert (with_events, with_visible) == (34, 27), (
+        f"{with_events} corpus nets with a non-empty process at k=3, "
+        f"{with_visible} with a visible event"
+    )
     failures = 0
     for net, t in jobs:
         refined, record = cn.refine_transition(net, t)
@@ -182,10 +194,16 @@ def check_refinement_suite():
 @criterion("cycle-dependency", "no reach-graph cycle violates the dependency-equality property")
 def check_cycle_dependency_suite():
     nets = [cn.builtin(name) for name in cn.BUILTIN_NAMES] + _corpus()
+    cyclic = 0
     for net in nets:
         graph = cn.explore_reachable(net, dependency=True, state_limit=10**5)
         assert not graph.limit_exceeded
         assert cn.check_cycle_dependency(net, graph) == []
+        cyclic += next(simple_cycles(graph), None) is not None
+    # Only a graph with a cycle exercises the check (three bundled nets and
+    # 19 corpus nets): pin the count, so that a corpus change fails here
+    # instead of passing vacuously.
+    assert cyclic == 3 + 19, f"{cyclic} dependency graphs with a cycle"
 
 
 @criterion("oracles", "step rule and pomset identity match independent oracles")

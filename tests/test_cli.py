@@ -82,6 +82,49 @@ class TestReach:
         assert "nodes\t2" in out
         assert any(line.startswith("edge\t") for line in out.splitlines())
 
+    def test_bytes_pinned(self, capsys):
+        # SHA-256 of the bytes printed while the human and TSV renderers
+        # each had their own node and edge rules
+        pinned = {
+            ("pure_m", "plain", "human"):
+                "ecd6b1e43befad9f3f318b532ee56e13329856001152d8904cb03286617d3c1a",
+            ("pure_m", "plain", "tsv"):
+                "0c99bdcdf36136c8cc8f86b111c94a6d0183586cc9894a05ca037730f1ecad75",
+            ("pure_m", "dependency", "human"):
+                "c4fab40ae713c49008ff97c1c325b44eeaef36829c0911fe521076a1f5e4293f",
+            ("pure_m", "dependency", "tsv"):
+                "4001da26d19b6b783986f80cd9e43b6cb54d9db1d8db5378d4fe96904e7b20c3",
+            ("repeated_pure_m", "plain", "human"):
+                "7baa613de827984ccdc52851ce42970bf8b0a61838bb478359382bf172cce6c3",
+            ("repeated_pure_m", "plain", "tsv"):
+                "d4bd77b73010c270da3d265f326901c0e1c1ef0625430423bc55fb4d43a62593",
+            ("repeated_pure_m", "dependency", "human"):
+                "d57f621798d5fb4d3a4b1fe5cdca5c9f2e65b7a9102373fcc16781488763fef0",
+            ("repeated_pure_m", "dependency", "tsv"):
+                "ac0f298c9bfee58e5d6699e67cb24064564ad30cc06763863561f3c2fdb70a46",
+            ("centralised", "plain", "human"):
+                "5440542c9f45ae79c776fe9f7622e477edcaa378892b2c3c73f77ec384f6f338",
+            ("centralised", "plain", "tsv"):
+                "e091ce3f65875149bd7ad5b1162ab93dc7ca3848e8f63c27a70324d9bf82e726",
+            ("centralised", "dependency", "human"):
+                "ce17957a4147bc91239c4fbfe90a5f6fa9570784c1e3c166b59769972545991f",
+            ("centralised", "dependency", "tsv"):
+                "7219325155507fd968c1a40f33585629208b335bd064ae37ee2c41709fbb8b22",
+            ("deadlocking", "plain", "human"):
+                "8d73cb40dc926b3586a3cc66fad4ec78ef9bb10046d9b20eebf956d98bc4b111",
+            ("deadlocking", "plain", "tsv"):
+                "1ef02c8ad02c5887be5fedf272c3666ae90b7fdb822ae9aa026995ea8de560fe",
+            ("deadlocking", "dependency", "human"):
+                "d2d3bb79200fe98f0e6e35cc45e0a121a50a545079876063ab195eb01f9680be",
+            ("deadlocking", "dependency", "tsv"):
+                "093e3d4f3beae81fcacfd20eb19df079a0dfe031295970f46c3b012ef383ef8a",
+        }
+        for (name, mode, fmt), digest in pinned.items():
+            flags = ["--dependency"] if mode == "dependency" else []
+            code, out, _ = run(capsys, "reach", net(name), "--format", fmt, *flags)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, mode, fmt)
+
 
 class TestDistributed:
     def test_chain_exit_one(self, capsys):

@@ -1,6 +1,7 @@
 """Dependency-step execution, reachability graphs, cycle dependency checks."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +10,7 @@ from causalnets.model import DepToken, DependencyMarking
 from causalnets.semantics import plain_enabled, plain_fire
 
 from helpers import (
+    brute_force_cycle_violations,
     marking_of,
     oracle_fire,
     oracle_step_enabled,
@@ -184,6 +186,57 @@ class TestCycleDependency:
             graph = cn.explore_reachable(net, dependency=True, state_limit=10**4)
             assert not graph.limit_exceeded
             assert cn.check_cycle_dependency(net, graph) == []
+
+    def test_matches_uncapped_oracle_on_random_nets(self):
+        # random_net draws may have contact, the only source of violations
+        rng = random.Random(2)
+        violating = 0
+        for _ in range(3000):
+            net = random_net(rng)
+            graph = cn.explore_reachable(net, dependency=True, state_limit=10**4)
+            assert not graph.limit_exceeded
+            found = cn.check_cycle_dependency(net, graph)
+            edges = {(e.source, e.target): set() for e in graph.edges}
+            for e in graph.edges:
+                edges[e.source, e.target] |= e.step
+            for v in found:
+                assert len(set(v.cycle)) == len(v.cycle)
+                hops = list(zip(v.cycle, v.cycle[1:] + v.cycle[:1]))
+                assert all(hop in edges for hop in hops)
+                assert v.transition in edges[hops[0]]
+            assert {
+                (v.cycle[0], v.cycle[1 % len(v.cycle)], v.transition) for v in found
+            } == brute_force_cycle_violations(net, graph)
+            violating += bool(found)
+        assert violating >= 10
+
+    def test_exact_past_ten_thousand_simple_cycles(self):
+        # Nodes 0..7 form a complete digraph with 13,699 simple cycles
+        # through node 0 and no violation; the cycle 8 -> 9 -> 8, whose
+        # first step fires two violating transitions, comes after them, past
+        # where a capped cycle enumeration stops.
+        net = cn.make_net(
+            places=["p", "q"], transitions=["a", "b", "u", "v"],
+            flow=[("p", "a"), ("a", "p"), ("p", "u"), ("u", "p"),
+                  ("q", "b"), ("b", "q"), ("q", "v"), ("v", "q")],
+            initial_marking=["p", "q"], labelling={"a": "a", "b": "b"},
+        )
+        nodes = [dm(("p", "".join(deps))) for n in range(4) for deps in combinations("abc", n)]
+        nodes += [dm(("p", ""), ("q", "")), dm(("p", "a"), ("q", "b"))]
+        u = frozenset({"u"})
+        edges = [cn.ReachEdge(i, u, ("tau",), j) for i in range(8) for j in range(8) if i != j]
+        edges += [
+            cn.ReachEdge(8, frozenset({"a", "b"}), ("a", "b"), 9),
+            cn.ReachEdge(9, frozenset({"u", "v"}), ("tau", "tau"), 8),
+        ]
+        graph = cn.ReachGraph(
+            dependency=True, nodes=nodes, edges=edges, state_bound=cn.state_bound(net),
+            limit_exceeded=False, index={m: i for i, m in enumerate(nodes)},
+        )
+        assert cn.check_cycle_dependency(net, graph) == [
+            cn.CycleViolation((8, 9), "a"), cn.CycleViolation((8, 9), "b")
+        ]
+        assert brute_force_cycle_violations(net, graph) == {(8, 9, "a"), (8, 9, "b")}
 
 
 class TestDependencyClasses:
