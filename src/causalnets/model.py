@@ -24,8 +24,6 @@ DEFAULT_STATE_LIMIT = 10**6
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
-Marking = frozenset  # plain marking: frozenset of place ids
-
 
 class NetError(Exception):
     """Base class for all errors raised by this package."""
@@ -106,14 +104,6 @@ class LabelledNet:
     @cached_property
     def visible_labels(self) -> frozenset[str]:
         return frozenset(lab for lab in self.labelling.values() if lab != TAU)
-
-    def label(self, t: str) -> str:
-        if t not in self.transitions:
-            raise UnknownElementError(f"unknown transition {t!r}")
-        return self.labelling[t]
-
-    def is_visible(self, t: str) -> bool:
-        return self.label(t) != TAU
 
 
 def make_net(

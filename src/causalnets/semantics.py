@@ -26,7 +26,6 @@ from .model import (
     initial_dependency_marking,
 )
 
-Step = frozenset  # nonempty frozenset of transition ids
 T = TypeVar("T")
 
 
@@ -62,7 +61,10 @@ def _independent(net: LabelledNet, t: str, u: str) -> bool:
 
 def step_enabled(net: LabelledNet, marking: DependencyMarking, step: Iterable[str]) -> bool:
     """True when every member can fire from ``marking`` and no two conflict."""
-    return plain_enabled(net, marking.places, step)
+    G = _as_step(net, step)
+    return all(_enabled(net, marking.places, t) for t in G) and all(
+        _independent(net, t, u) for t, u in combinations(sorted(G), 2)
+    )
 
 
 def fire_step(net: LabelledNet, marking: DependencyMarking, step: Iterable[str]) -> DependencyMarking:
@@ -149,26 +151,6 @@ def weak_step(
             step_results |= labelled_step(net, m, (a,))
         current = _tau_closure(net, step_results)
     return current
-
-
-# --- plain-marking helpers (first projection of the token game) -------------
-
-
-def plain_enabled(net: LabelledNet, marking: frozenset[str], step: Iterable[str]) -> bool:
-    """True when every member can fire from the plain ``marking`` and no two conflict."""
-    G = _as_step(net, step)
-    return all(_enabled(net, marking, t) for t in G) and all(
-        _independent(net, t, u) for t, u in combinations(sorted(G), 2)
-    )
-
-
-def plain_fire(net: LabelledNet, marking: frozenset[str], step: Iterable[str]) -> frozenset[str]:
-    G = _as_step(net, step)
-    if not plain_enabled(net, marking, G):
-        raise NotEnabledError(f"step {sorted(G)} is not enabled")
-    pre_g = frozenset(chain.from_iterable(net._preset[t] for t in G))
-    post_g = frozenset(chain.from_iterable(net._postset[t] for t in G))
-    return (marking - pre_g) | post_g
 
 
 def enabled_steps(net: LabelledNet, marking) -> list[frozenset[str]]:

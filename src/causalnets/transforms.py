@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
-from .model import TAU, LabelledNet, UnknownElementError, make_net
+from .model import TAU, LabelledNet, UnknownElementError, parse_net
 
 BUILTIN_NAMES = ("pure_m", "repeated_pure_m", "centralised", "deadlocking")
 
@@ -58,67 +59,9 @@ def refine_transition(net: LabelledNet, t: str) -> tuple[LabelledNet, Refinement
 
 
 def builtin(name: str) -> LabelledNet:
-    """One of the four bundled nets.
-
-    * ``pure_m`` — two marked places feeding three transitions a, b, c where
-      b competes with both neighbours and a, c can fire together once.
-    * ``repeated_pure_m`` — the same conflict shape, but a and c return
-      their token, so the a/c loops run until b ends everything.
-    * ``centralised`` — an asynchronous version of ``repeated_pure_m`` that
-      serialises all decisions through one lock place.
-    * ``deadlocking`` — an asynchronous version whose sides may silently
-      commit to b and strand the other visible actions.
-    """
-    if name == "pure_m":
-        return make_net(
-            places=["p", "q"],
-            transitions=["a", "b", "c"],
-            flow=[("p", "a"), ("p", "b"), ("q", "b"), ("q", "c")],
-            initial_marking=["p", "q"],
-            labelling={"a": "a", "b": "b", "c": "c"},
-        )
-    if name == "repeated_pure_m":
-        return make_net(
-            places=["p", "q"],
-            transitions=["a", "b", "c"],
-            flow=[
-                ("p", "a"), ("a", "p"),
-                ("p", "b"), ("q", "b"),
-                ("q", "c"), ("c", "q"),
-            ],
-            initial_marking=["p", "q"],
-            labelling={"a": "a", "b": "b", "c": "c"},
-        )
-    if name == "centralised":
-        # One lock place serialises the three invisible commit steps; b takes
-        # only the pb buffer since tau_b already collects both sides.
-        return make_net(
-            places=["px2", "qy2", "lock", "pa", "pb", "qc"],
-            transitions=["tau_a", "tau_b", "tau_c", "a", "b", "c"],
-            flow=[
-                ("px2", "tau_a"), ("lock", "tau_a"), ("tau_a", "pa"), ("tau_a", "lock"),
-                ("px2", "tau_b"), ("qy2", "tau_b"), ("lock", "tau_b"),
-                ("tau_b", "pb"), ("tau_b", "lock"),
-                ("qy2", "tau_c"), ("lock", "tau_c"), ("tau_c", "qc"), ("tau_c", "lock"),
-                ("pa", "a"), ("a", "px2"),
-                ("pb", "b"),
-                ("qc", "c"), ("c", "qy2"),
-            ],
-            initial_marking=["px2", "qy2", "lock"],
-            labelling={"a": "a", "b": "b", "c": "c"},
-        )
-    if name == "deadlocking":
-        return make_net(
-            places=["pa", "pb", "qb", "qc"],
-            transitions=["a", "b", "c", "tau1", "tau2"],
-            flow=[
-                ("pa", "a"), ("a", "pa"),
-                ("qc", "c"), ("c", "qc"),
-                ("pa", "tau1"), ("tau1", "pb"),
-                ("qc", "tau2"), ("tau2", "qb"),
-                ("pb", "b"), ("qb", "b"),
-            ],
-            initial_marking=["pa", "qc"],
-            labelling={"a": "a", "b": "b", "c": "c"},
-        )
-    raise ValueError(f"unknown builtin {name!r}; expected one of {', '.join(BUILTIN_NAMES)}")
+    """One of the bundled nets, parsed from its file in the package's ``nets``
+    directory."""
+    if name not in BUILTIN_NAMES:
+        raise ValueError(f"unknown builtin {name!r}; expected one of {', '.join(BUILTIN_NAMES)}")
+    path = Path(__file__).with_name("nets") / f"{name}.net"
+    return parse_net(path.read_text(encoding="utf-8"))

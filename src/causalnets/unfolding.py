@@ -116,12 +116,9 @@ class Process:
     ``end`` maps each place marked at the end of the process to the prefix
     condition on it (the net is 1-safe, so there is at most one).
     Instances are immutable; extension produces a new process sharing the
-    prefix.  ``occ_net``, ``fold``, ``conditions``, ``events``, ``producer``
-    and ``event_trans`` build the occurrence-net view, with conditions
-    ``c<i>`` and events ``e<i>`` named after their prefix ids, on demand.
-    ``key`` is a structural fingerprint: two processes of the same net,
-    built by separate calls or not, are isomorphic as folded occurrence nets
-    exactly when their keys are equal.
+    prefix.  ``key`` is a structural fingerprint: two processes of the same
+    net, built by separate calls or not, are isomorphic as folded occurrence
+    nets exactly when their keys are equal.
     """
 
     __slots__ = ("prefix", "config", "end", "visible_count", "event_count", "_key")
@@ -140,57 +137,6 @@ class Process:
         if self._key is None:
             self._key = frozenset(self.prefix.name(e) for e in _bits(self.config))
         return self._key
-
-    def _condition_ids(self) -> list[int]:
-        ids = list(range(len(self.prefix.net.initial_marking)))
-        for e in _bits(self.config):
-            ids.extend(self.prefix.post[e])
-        return ids
-
-    @property
-    def conditions(self) -> tuple[str, ...]:
-        return tuple(f"c{c + 1}" for c in self._condition_ids())
-
-    @property
-    def events(self) -> tuple[str, ...]:
-        """Event names in creation order, which is a causal order."""
-        return tuple(f"e{e + 1}" for e in _bits(self.config))
-
-    @property
-    def event_trans(self) -> Mapping[str, str]:
-        return MappingProxyType({f"e{e + 1}": self.prefix.trans[e] for e in _bits(self.config)})
-
-    @property
-    def producer(self) -> Mapping[str, str | None]:
-        producer = self.prefix.cond_producer
-        return MappingProxyType({
-            f"c{c + 1}": None if producer[c] is None else f"e{producer[c] + 1}"
-            for c in self._condition_ids()
-        })
-
-    @property
-    def fold(self) -> Mapping[str, str]:
-        merged = {f"c{c + 1}": self.prefix.cond_place[c] for c in self._condition_ids()}
-        merged.update(self.event_trans)
-        return MappingProxyType(merged)
-
-    @property
-    def occ_net(self) -> LabelledNet:
-        prefix = self.prefix
-        flow = set()
-        for e in _bits(self.config):
-            flow.update((f"c{c + 1}", f"e{e + 1}") for c in prefix.pre[e])
-            flow.update((f"e{e + 1}", f"c{c + 1}") for c in prefix.post[e])
-        event_trans = self.event_trans
-        return LabelledNet(
-            places=frozenset(self.conditions),
-            transitions=frozenset(event_trans),
-            flow=frozenset(flow),
-            initial_marking=frozenset(
-                f"c{c + 1}" for c in range(len(prefix.net.initial_marking))
-            ),
-            labelling={e: prefix.net.labelling[t] for e, t in event_trans.items()},
-        )
 
     def end_marking(self) -> frozenset[str]:
         """The original-net marking at the end of the process."""
@@ -301,6 +247,8 @@ def enumerate_processes(
         raise ValueError("visible_bound must be nonnegative")
     if event_limit is None:
         event_limit = default_event_limit(visible_bound)
+    if event_limit < 0:
+        raise ValueError("event_limit must be nonnegative")
     order = sorted(net.transitions)
     start = initial_process(net)
     seen = {0}
@@ -327,53 +275,6 @@ def enumerate_processes(
             queue.append(_extend(process, e))
         entries.append(ProcessEntry(process, is_maximal(net, process), saturated))
     return entries
-
-
-def validate_process(net: LabelledNet, process: Process) -> None:
-    """Check every occurrence-net and folding clause; raise ValueError if any
-    fails.  Intended for tests and debugging."""
-    occ = process.occ_net
-    fold = process.fold
-    for c in occ.places:
-        if len(occ._preset[c]) > 1 or len(occ._postset[c]) > 1:
-            raise ValueError(f"condition {c} is branching")
-        if (c in occ.initial_marking) != (not occ._preset[c]):
-            raise ValueError(f"condition {c} must be initial iff it has no producer")
-    # acyclicity via depth-first search over the flow relation
-    state: dict[str, int] = {}
-
-    def visit(x: str):
-        if state.get(x) == 1:
-            raise ValueError("occurrence net has a cycle")
-        if state.get(x) == 2:
-            return
-        state[x] = 1
-        for y in occ._postset[x]:
-            visit(y)
-        state[x] = 2
-
-    for x in sorted(occ.places | occ.transitions):
-        visit(x)
-    for c in occ.places:
-        if fold[c] not in net.places:
-            raise ValueError(f"condition {c} folds outside the net's places")
-    for e in occ.transitions:
-        if fold[e] not in net.transitions:
-            raise ValueError(f"event {e} folds outside the net's transitions")
-        if occ.labelling[e] != net.labelling[fold[e]]:
-            raise ValueError(f"event {e} disagrees with its transition's label")
-        for kind, conds, reference in (
-            ("preset", occ._preset[e], net._preset[fold[e]]),
-            ("postset", occ._postset[e], net._postset[fold[e]]),
-        ):
-            folded = [fold[c] for c in conds]
-            if len(set(folded)) != len(folded) or set(folded) != reference:
-                raise ValueError(f"event {e} {kind} does not match transition {fold[e]}")
-    initial_folds = [fold[c] for c in occ.initial_marking]
-    if len(set(initial_folds)) != len(initial_folds):
-        raise ValueError("folding is not injective on the initial conditions")
-    if set(initial_folds) != set(net.initial_marking):
-        raise ValueError("initial conditions do not match the initial marking")
 
 
 # --- labelled partial orders and pomsets -------------------------------------

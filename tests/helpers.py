@@ -8,10 +8,11 @@ its code paths.
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import causalnets as cn
 from causalnets.model import DepToken, DependencyMarking
+from causalnets.unfolding import _bits
 
 TAU = "tau"
 
@@ -384,6 +385,132 @@ def assert_valid_chain(net: cn.LabelledNet, verdict) -> None:
     assert frozenset((chain[0], chain[-1])) in cn.concurrency_relation(net).pairs
     for a, b in zip(chain, chain[1:]):
         assert cn.preset(net, a) & cn.preset(net, b)
+
+
+# --- plain token game and the occurrence-net view of a process --------------
+
+
+def plain_enabled(net: cn.LabelledNet, marking: frozenset, step) -> bool:
+    """True when every member of ``step`` can fire from the plain ``marking``
+    without putting a second token on a place, and no two members share an
+    input or an output place."""
+    step = sorted(step)
+    pre, post = net._preset, net._postset
+    return all(pre[t] <= marking and not (marking - pre[t]) & post[t] for t in step) and all(
+        not (pre[t] & pre[u]) and not (post[t] & post[u]) for t, u in combinations(step, 2)
+    )
+
+
+def plain_fire(net: cn.LabelledNet, marking: frozenset, step) -> frozenset:
+    if not plain_enabled(net, marking, step):
+        raise cn.NotEnabledError(f"step {sorted(step)} is not enabled")
+    consumed = set().union(*(net._preset[t] for t in step))
+    produced = set().union(*(net._postset[t] for t in step))
+    return (marking - consumed) | produced
+
+
+def _condition_ids(process: cn.Process) -> list[int]:
+    ids = list(range(len(process.prefix.net.initial_marking)))
+    for e in _bits(process.config):
+        ids.extend(process.prefix.post[e])
+    return ids
+
+
+# Conditions ``c<i>`` and events ``e<i>`` are named after their prefix ids.
+
+
+def conditions(process: cn.Process) -> tuple[str, ...]:
+    return tuple(f"c{c + 1}" for c in _condition_ids(process))
+
+
+def events(process: cn.Process) -> tuple[str, ...]:
+    """Event names in creation order, which is a causal order."""
+    return tuple(f"e{e + 1}" for e in _bits(process.config))
+
+
+def event_trans(process: cn.Process) -> dict[str, str]:
+    return {f"e{e + 1}": process.prefix.trans[e] for e in _bits(process.config)}
+
+
+def producer(process: cn.Process) -> dict:
+    made_by = process.prefix.cond_producer
+    return {
+        f"c{c + 1}": None if made_by[c] is None else f"e{made_by[c] + 1}"
+        for c in _condition_ids(process)
+    }
+
+
+def fold(process: cn.Process) -> dict[str, str]:
+    """Conditions to the places and events to the transitions they fold onto."""
+    merged = {f"c{c + 1}": process.prefix.cond_place[c] for c in _condition_ids(process)}
+    merged.update(event_trans(process))
+    return merged
+
+
+def occ_net(process: cn.Process) -> cn.LabelledNet:
+    """The process as an occurrence net labelled like the original net."""
+    prefix = process.prefix
+    flow = set()
+    for e in _bits(process.config):
+        flow.update((f"c{c + 1}", f"e{e + 1}") for c in prefix.pre[e])
+        flow.update((f"e{e + 1}", f"c{c + 1}") for c in prefix.post[e])
+    trans = event_trans(process)
+    return cn.LabelledNet(
+        places=frozenset(conditions(process)),
+        transitions=frozenset(trans),
+        flow=frozenset(flow),
+        initial_marking=frozenset(f"c{c + 1}" for c in range(len(prefix.net.initial_marking))),
+        labelling={e: prefix.net.labelling[t] for e, t in trans.items()},
+    )
+
+
+def validate_process(net: cn.LabelledNet, process: cn.Process) -> None:
+    """Check that the process is an occurrence net folding onto ``net``."""
+    validate_occurrence_net(net, occ_net(process), fold(process))
+
+
+def validate_occurrence_net(net: cn.LabelledNet, occ: cn.LabelledNet, folding: dict) -> None:
+    """Check every occurrence-net clause of ``occ`` and every clause of its
+    folding onto ``net``; raise ValueError if any fails."""
+    for c in occ.places:
+        if len(occ._preset[c]) > 1 or len(occ._postset[c]) > 1:
+            raise ValueError(f"condition {c} is branching")
+        if (c in occ.initial_marking) != (not occ._preset[c]):
+            raise ValueError(f"condition {c} must be initial iff it has no producer")
+    # acyclicity by Kahn's algorithm: a cycle keeps its nodes' in-degrees
+    # above zero, so they are never removed
+    indegree = {x: len(occ._preset[x]) for x in occ.places | occ.transitions}
+    ready = [x for x, d in indegree.items() if d == 0]
+    removed = 0
+    while ready:
+        x = ready.pop()
+        removed += 1
+        for y in occ._postset[x]:
+            indegree[y] -= 1
+            if indegree[y] == 0:
+                ready.append(y)
+    if removed != len(indegree):
+        raise ValueError("occurrence net has a cycle")
+    for c in occ.places:
+        if folding[c] not in net.places:
+            raise ValueError(f"condition {c} folds outside the net's places")
+    for e in occ.transitions:
+        if folding[e] not in net.transitions:
+            raise ValueError(f"event {e} folds outside the net's transitions")
+        if occ.labelling[e] != net.labelling[folding[e]]:
+            raise ValueError(f"event {e} disagrees with its transition's label")
+        for kind, conds, reference in (
+            ("preset", occ._preset[e], net._preset[folding[e]]),
+            ("postset", occ._postset[e], net._postset[folding[e]]),
+        ):
+            folded = [folding[c] for c in conds]
+            if len(set(folded)) != len(folded) or set(folded) != reference:
+                raise ValueError(f"event {e} {kind} does not match transition {folding[e]}")
+    initial_folds = [folding[c] for c in occ.initial_marking]
+    if len(set(initial_folds)) != len(initial_folds):
+        raise ValueError("folding is not injective on the initial conditions")
+    if set(initial_folds) != set(net.initial_marking):
+        raise ValueError("initial conditions do not match the initial marking")
 
 
 # --- misc ----------------------------------------------------------------------

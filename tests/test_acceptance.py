@@ -34,7 +34,7 @@ from helpers import (
     tokens_of,
 )
 
-NETS = Path(__file__).resolve().parent.parent / "nets"
+NETS = Path(__file__).resolve().parent.parent / "src" / "causalnets" / "nets"
 
 CORPUS_SEED = 424242
 CORPUS_SIZE = 100

@@ -5,7 +5,7 @@ from pathlib import Path
 
 from causalnets.cli import main
 
-NETS = Path(__file__).resolve().parent.parent / "nets"
+NETS = Path(__file__).resolve().parent.parent / "src" / "causalnets" / "nets"
 
 
 def net(name):
@@ -201,6 +201,16 @@ class TestUnfoldAndPomsets:
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
+    def test_negative_event_limit_exits_two(self, capsys):
+        path = net("pure_m")
+        for argv in (["unfold", path], ["pomsets", path], ["compare", path, path]):
+            code, out, err = run(capsys, *argv, "-k", "2", "--event-limit", "-5")
+            assert code == 2, argv
+            assert out == ""
+            assert "event_limit must be nonnegative" in err
+            code, *_ = run(capsys, *argv, "-k", "2", "--event-limit", "0")
+            assert code == 0, argv
+
     def test_contact_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.net"
         bad.write_text("place p *\nplace r *\ntrans t\narc p -> t\narc t -> r\n")
@@ -263,6 +273,20 @@ class TestRefineAndExample:
         code, out, _ = run(capsys, "example", "pure_m")
         assert code == 0
         assert out == (NETS / "pure_m.net").read_text(encoding="utf-8")
+
+    def test_example_bytes_pinned(self, capsys):
+        # SHA-256 of the bytes printed while the bundled nets were built in
+        # code; the benchmark writes its bundled nets with this subcommand
+        pinned = {
+            "pure_m": "4dd051128ad78af169b7c32fa9c9d29a732c4b130a6c6d5af5cb6668fc56d426",
+            "repeated_pure_m": "dd19ec042f0eaa42cdda91b4d494868a1ea43caffe134a9d067cee3c8d42ff9a",
+            "centralised": "ab2de708ada3d0378e82315ebe3046fbf3793417a7031afa8363b680eb72e278",
+            "deadlocking": "97bf432803158ad79cec88bdb761c5da29b59be6acea5492547c6abe9474e0ee",
+        }
+        for name, digest in pinned.items():
+            code, out, _ = run(capsys, "example", name)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
     def test_example_unknown_name(self, capsys):
         code, *_ = run(capsys, "example", "nope")

@@ -6,7 +6,14 @@ import causalnets as cn
 
 from causalnets.equivalence import _live_labels
 
-from helpers import ac_ordered_pairs, pomset, random_net, random_tractable_nets
+from helpers import (
+    ac_ordered_pairs,
+    plain_enabled,
+    plain_fire,
+    pomset,
+    random_net,
+    random_tractable_nets,
+)
 
 
 def fig(name):
@@ -138,8 +145,6 @@ class TestLocalDeadlock:
 
     def test_witness_conditions_hold(self):
         net = fig("deadlocking")
-        from causalnets.semantics import plain_enabled, plain_fire
-
         for w in cn.find_local_deadlock(net):
             m = frozenset(net.initial_marking)
             for t in w.trace:
@@ -174,8 +179,6 @@ class TestLocalDeadlock:
         # enabling the dead label, each after the least (length, sequence)
         # firing sequence to its source, the witness has the least trace.
         import random
-
-        from causalnets.semantics import plain_enabled, plain_fire
 
         rng = random.Random(1)
         compared = 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import causalnets as cn
 from causalnets.model import NetParseError, UnknownElementError
 
-from helpers import brute_force_contact_free, process_of_run, random_net
+from helpers import brute_force_contact_free, occ_net, process_of_run, random_net
 
 FIG2_TEXT = """\
 place p *
@@ -163,7 +163,7 @@ class TestNetEnd:
 
     def test_occurrence_net_of_full_run(self):
         process = process_of_run(fig2(), ["a", "c", "b"])
-        assert cn.net_end(process.occ_net) == frozenset()
+        assert cn.net_end(occ_net(process)) == frozenset()
 
 
 class TestContactFree:

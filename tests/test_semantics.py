@@ -7,13 +7,14 @@ import pytest
 
 import causalnets as cn
 from causalnets.model import DepToken, DependencyMarking
-from causalnets.semantics import plain_enabled, plain_fire
 
 from helpers import (
     brute_force_cycle_violations,
     marking_of,
     oracle_fire,
     oracle_step_enabled,
+    plain_enabled,
+    plain_fire,
     random_contact_free_nets,
     random_dep_marking,
     random_net,

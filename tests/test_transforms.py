@@ -8,7 +8,8 @@ import causalnets as cn
 
 from helpers import assert_valid_chain, assert_valid_distribution
 
-NETS_DIR = Path(__file__).resolve().parent.parent / "nets"
+ROOT = Path(__file__).resolve().parent.parent
+NETS_DIR = Path(cn.__file__).with_name("nets")
 
 
 def fig2():
@@ -140,3 +141,18 @@ class TestShippedNetFiles:
         for name in cn.BUILTIN_NAMES:
             text = (NETS_DIR / f"{name}.net").read_text(encoding="utf-8")
             assert cn.parse_net(text) == cn.builtin(name)
+
+    def test_unknown_names_raise(self):
+        # "../nets/pure_m" names a real file relative to the nets directory,
+        # so only the check against BUILTIN_NAMES rejects it
+        for name in ("nope", "../nets/pure_m"):
+            with pytest.raises(ValueError, match="unknown builtin"):
+                cn.builtin(name)
+
+    def test_package_ships_one_file_per_name(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as f:
+            package_data = tomllib.load(f)["tool"]["setuptools"]["package-data"]
+        assert "nets/*.net" in package_data["causalnets"]
+        shipped = sorted(path.name for path in NETS_DIR.iterdir())
+        assert shipped == sorted(f"{name}.net" for name in cn.BUILTIN_NAMES)

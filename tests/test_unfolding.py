@@ -11,13 +11,23 @@ import causalnets as cn
 from helpers import (
     brute_force_iso,
     brute_force_processes,
+    conditions,
+    event_trans,
+    events,
+    fold,
     lpo_from,
+    occ_net,
+    plain_enabled,
+    plain_fire,
     pomset,
     process_of_run,
+    producer,
     random_contact_free_nets,
     random_lpo,
     random_tractable_nets,
     shuffled_copy,
+    validate_occurrence_net,
+    validate_process,
 )
 
 
@@ -28,29 +38,29 @@ def fig2():
 class TestInitialProcess:
     def test_two_initial_conditions(self):
         p = cn.initial_process(fig2())
-        assert len(p.conditions) == 2
-        assert sorted(p.fold[c] for c in p.conditions) == ["p", "q"]
-        assert p.events == ()
-        assert p.occ_net.initial_marking == frozenset(p.conditions)
+        assert len(conditions(p)) == 2
+        assert sorted(fold(p)[c] for c in conditions(p)) == ["p", "q"]
+        assert events(p) == ()
+        assert occ_net(p).initial_marking == frozenset(conditions(p))
 
     def test_empty_marking(self):
         p = cn.initial_process(cn.make_net(places=["p"]))
-        assert p.conditions == () and p.events == ()
+        assert conditions(p) == () and events(p) == ()
 
     def test_centralised_initial(self):
         p = cn.initial_process(cn.builtin("centralised"))
-        assert sorted(p.fold[c] for c in p.conditions) == ["lock", "px2", "qy2"]
+        assert sorted(fold(p)[c] for c in conditions(p)) == ["lock", "px2", "qy2"]
 
 
 class TestExtendProcess:
     def test_extend_by_self_loop(self):
         p = cn.extend_process(fig2(), cn.initial_process(fig2()), "a")
         assert p is not None
-        (event,) = p.events
-        assert p.fold[event] == "a"
-        fresh = [c for c in p.conditions if p.producer[c] == event]
-        assert [p.fold[c] for c in fresh] == ["p"]
-        cn.validate_process(fig2(), p)
+        (event,) = events(p)
+        assert fold(p)[event] == "a"
+        fresh = [c for c in conditions(p) if producer(p)[c] == event]
+        assert [fold(p)[c] for c in fresh] == ["p"]
+        validate_process(fig2(), p)
 
     def test_sink_consumes_everything_once(self):
         p = process_of_run(fig2(), ["b"])
@@ -132,12 +142,12 @@ class TestEnumerateProcesses:
         entries = cn.enumerate_processes(fig2(), 0)
         assert len(entries) == 1
         assert not entries[0].maximal
-        assert entries[0].process.events == ()
+        assert events(entries[0].process) == ()
 
     def test_deadlocking_bound_one(self):
         net = cn.builtin("deadlocking")
         entries = cn.enumerate_processes(net, 1)
-        folded_runs = {frozenset(e.process.event_trans.values()) for e in entries}
+        folded_runs = {frozenset(event_trans(e.process).values()) for e in entries}
         assert frozenset({"tau1", "c"}) in folded_runs
         # the silent commit on both sides followed by b is quiescent already
         maximal = {cn.visible_pomset(e.process) for e in entries if e.maximal}
@@ -152,16 +162,48 @@ class TestEnumerateProcesses:
         assert any(e.saturated for e in entries)
         assert max(e.process.event_count for e in entries) == 5
 
+    def test_event_limit_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="event_limit must be nonnegative"):
+            cn.enumerate_processes(fig2(), 2, event_limit=-5)
+        (entry,) = cn.enumerate_processes(fig2(), 2, event_limit=0)
+        assert entry.saturated and entry.process.event_count == 0
+
     def test_all_enumerated_processes_valid(self):
         for net in (fig2(), cn.builtin("centralised"), cn.builtin("deadlocking")):
             for e in cn.enumerate_processes(net, 2):
-                cn.validate_process(net, e.process)
+                validate_process(net, e.process)
+
+
+class TestValidateProcess:
+    def self_loop(self):
+        return cn.make_net(
+            places=["p"], transitions=["t"], flow=[("p", "t"), ("t", "p")],
+            initial_marking=["p"], labelling={"t": "a"},
+        )
+
+    def test_long_process(self):
+        # a recursive acyclicity search would overflow the interpreter's
+        # stack on this chain of 2,000 events and 2,001 conditions
+        net = self.self_loop()
+        process = process_of_run(net, ["t"] * 2000)
+        assert len(events(process)) == 2000
+        validate_process(net, process)
+
+    def test_rejects_a_cycle(self):
+        # every condition has one producer and none is initial, so only the
+        # acyclicity clause can fail
+        occ = cn.make_net(
+            places=["c1", "c2"], transitions=["e1", "e2"],
+            flow=[("c1", "e1"), ("e1", "c2"), ("c2", "e2"), ("e2", "c1")],
+            labelling={"e1": "a", "e2": "a"},
+        )
+        folding = {"c1": "p", "c2": "p", "e1": "t", "e2": "t"}
+        with pytest.raises(ValueError, match="cycle"):
+            validate_occurrence_net(self.self_loop(), occ, folding)
 
 
 class TestRunCorrespondence:
     def _firing_sequences(self, net, length):
-        from causalnets.semantics import plain_enabled, plain_fire
-
         runs = [((), frozenset(net.initial_marking))]
         for _ in range(length):
             nxt = []
@@ -180,13 +222,11 @@ class TestRunCorrespondence:
             process = process_of_run(net, seq)
             assert process.key in keys
         # and each process linearises to a firing sequence of the net
-        from causalnets.semantics import plain_enabled, plain_fire
-
         for e in entries:
             process = e.process
             m = frozenset(net.initial_marking)
-            for event in process.events:  # creation order is causal order
-                t = process.fold[event]
+            for event in events(process):  # creation order is causal order
+                t = fold(process)[event]
                 assert plain_enabled(net, m, (t,))
                 m = plain_fire(net, m, (t,))
             assert m == process.end_marking()
@@ -195,7 +235,7 @@ class TestRunCorrespondence:
 def _library_processes(net, k, event_limit):
     return Counter(
         (e.process.event_count, e.process.visible_count, e.maximal, e.saturated,
-         tuple(sorted(e.process.event_trans.values())), cn.visible_pomset(e.process))
+         tuple(sorted(event_trans(e.process).values())), cn.visible_pomset(e.process))
         for e in cn.enumerate_processes(net, k, event_limit)
     )
 
@@ -394,4 +434,4 @@ def test_random_processes_validate():
     rng = random.Random(31337)
     for net in random_contact_free_nets(seed=31337, count=10):
         for e in cn.enumerate_processes(net, 2, event_limit=20):
-            cn.validate_process(net, e.process)
+            validate_process(net, e.process)
