@@ -58,10 +58,9 @@ def _cmd_reach(args) -> int:
         print(f"bound\t{graph.state_bound}")
         print(f"bound-respected\t{yesno}")
         bodies, edges = graph.fields()
-        for i, body in enumerate(bodies):
-            print(f"node\t{i}\t{body}")
-        for source, ids, labs, target in edges:
-            print(f"edge\t{source}\t{ids}\t{labs}\t{target}")
+        rows = [f"node\t{i}\t{body}\n" for i, body in enumerate(bodies)]
+        rows += [f"edge\t{s}\t{ids}\t{labs}\t{t}\n" for s, ids, labs, t in edges]
+        sys.stdout.write("".join(rows))
     else:
         print(f"mode: {'dependency' if args.dependency else 'plain'}")
         print(f"nodes: {len(graph.nodes)}")
@@ -201,10 +200,11 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, formats=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--format", choices=["human", "tsv"], default="human")
+        if formats:
+            p.add_argument("--format", choices=["human", "tsv"], default="human")
         return p
 
     p = add("validate", _cmd_validate, help="structural and contact-freeness check")
@@ -245,12 +245,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--limit", type=int, default=model.DEFAULT_STATE_LIMIT)
 
-    p = add("refine", _cmd_refine, help="split a transition behind an invisible prefix")
+    p = add("refine", _cmd_refine, formats=False,
+            help="split a transition behind an invisible prefix")
     p.add_argument("file")
     p.add_argument("-t", "--transition", required=True)
     p.add_argument("-o", "--output", default=None)
 
-    p = add("example", _cmd_example, help="emit a bundled net")
+    p = add("example", _cmd_example, formats=False, help="emit a bundled net")
     p.add_argument("name", choices=list(transforms.BUILTIN_NAMES))
     p.add_argument("-o", "--output", default=None)
 

@@ -230,10 +230,8 @@ class ReachGraph:
             bodies = [node.text() for node in self.nodes]
         else:
             bodies = [" ; ".join(sorted(node)) for node in self.nodes]
-        edges = sorted(self.edges, key=lambda e: (e.source, e.target, tuple(sorted(e.step))))
-        return bodies, [
-            (e.source, ",".join(sorted(e.step)), ",".join(e.labels), e.target) for e in edges
-        ]
+        rows = sorted((e.source, e.target, sorted(e.step), e.labels) for e in self.edges)
+        return bodies, [(s, ",".join(ids), ",".join(labs), t) for s, t, ids, labs in rows]
 
     def to_text(self) -> str:
         bodies, edges = self.fields()
@@ -262,48 +260,78 @@ def explore_reachable(
     """
     if state_limit < 1:
         raise ValueError("state_limit must be at least 1")
-    pre, post = net._preset, net._postset
+    pre, post, label = net._preset, net._postset, net.labelling
     root = initial_dependency_marking(net) if dependency else net.initial_marking
     nodes = [root]
-    index = {root: 0}
+    # Successors are looked up by their token set; a DependencyMarking, and
+    # with it the one-token-per-place check, is built only for a new node.
+    seen = {root.tokens if dependency else root: 0}
     edges: list[ReachEdge] = []
     limit_exceeded = False
 
-    def add_edge(i: int, g: frozenset[str], labels: tuple[str, ...], m2):
+    def add_edge(i: int, g: frozenset[str], labels: tuple[str, ...], after: frozenset):
         nonlocal limit_exceeded
-        j = index.get(m2)
+        j = seen.get(after)
         if j is None:
             if len(nodes) >= state_limit:
                 limit_exceeded = True
                 return
-            j = len(nodes)
-            nodes.append(m2)
-            index[m2] = j
+            j = seen[after] = len(nodes)
+            nodes.append(DependencyMarking(after) if dependency else after)
         edges.append(ReachEdge(i, g, labels, j))
 
     order = sorted(net.transitions)
-    single = {t: (frozenset((t,)), (net.labelling[t],)) for t in order}
+    single = {t: (frozenset((t,)), (label[t],)) for t in order}
+    # The transitions after t in sorted order that are independent of t;
+    # independence depends on the net alone.
+    later = {
+        t: frozenset(u for u in order[k + 1:] if _independent(net, t, u))
+        for k, t in enumerate(order)
+    } if steps else {}
+    # What each enabled transition takes from a node and puts back (refilled
+    # per node in dependency mode).  A step's members are independent and
+    # enabled, so no member's postset meets another's preset: the step's
+    # successor is the node less all taken plus all put tokens.
+    effect = {} if dependency else {t: (pre[t], post[t]) for t in order}
+
+    # The steps at node i in lexicographic order, recorded one at a time
+    # rather than collected first: a node of loops(12) enables 4095 steps.
+    def grow(i: int, members: list[str], labels: list[str], before: frozenset,
+             candidates: list[str]):
+        for k, t in enumerate(candidates):
+            took, put = effect[t]
+            after = (before - took) | put
+            members.append(t)
+            labels.append(label[t])
+            add_edge(i, frozenset(members), tuple(sorted(labels)), after)
+            independent = later[t]
+            grow(i, members, labels, after, [u for u in candidates[k + 1:] if u in independent])
+            members.pop()
+            labels.pop()
+
     for i, m in enumerate(nodes):  # the BFS queue: nodes are appended in discovery order
         places = m.places if dependency else m
-        if not steps:
-            for t in order:
-                if _enabled(net, places, t):
-                    g, labels = single[t]
-                    add_edge(i, g, labels, _fire(net, m, g) if dependency else (m - pre[t]) | post[t])
+        tokens = m.tokens if dependency else m
+        enabled = [t for t in order if _enabled(net, places, t)]
+        if dependency:
+            at = {tok.place: tok for tok in tokens}
+            for t in enabled:
+                took = frozenset(at[p] for p in pre[t])
+                deps = frozenset({label[t]} - {TAU}).union(*(tok.deps for tok in took))
+                effect[t] = took, frozenset(DepToken(s, deps) for s in post[t])
+        if steps:
+            grow(i, [], [], tokens, enabled)
         else:
-            # Fire and record one step at a time rather than collecting the
-            # successors first: a node of loops(12) enables 4095 steps.
-            for g in enabled_steps(net, places):
-                labels = tuple(sorted(net.labelling[t] for t in g))
-                add_edge(i, g, labels, _fire(net, m, g) if dependency else m.difference(
-                    *(pre[t] for t in g)).union(*(post[t] for t in g)))
+            for t in enabled:
+                took, put = effect[t]
+                add_edge(i, *single[t], (tokens - took) | put)
     return ReachGraph(
         dependency=dependency,
         nodes=nodes,
         edges=edges,
         state_bound=state_bound(net),
         limit_exceeded=limit_exceeded,
-        index=index,
+        index=dict(zip(nodes, range(len(nodes)))) if dependency else seen,
     )
 
 

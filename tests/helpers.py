@@ -203,6 +203,41 @@ def random_dep_marking(rng: random.Random, net: cn.LabelledNet) -> DependencyMar
 # --- brute-force behavioural oracles ------------------------------------------
 
 
+def brute_force_step_graph(net: cn.LabelledNet, dependency: bool, limit: int):
+    """The step reachability graph, trying every nonempty subset of the
+    transitions at every node with ``oracle_step_enabled``/``oracle_fire``.
+
+    Subsets are tried in sorted-tuple order and nodes numbered in BFS order;
+    once ``limit`` nodes exist, edges into new nodes are dropped.  Returns
+    ``(nodes, edges, limit_exceeded)``: nodes are token sets, or place sets
+    when not ``dependency``; edges are (source, step, labels, target).
+    """
+    order = sorted(net.transitions)
+    subsets = sorted(g for r in range(1, len(order) + 1) for g in combinations(order, r))
+    root = frozenset((p, frozenset()) for p in net.initial_marking)
+    nodes = [root if dependency else frozenset(net.initial_marking)]
+    index = {nodes[0]: 0}
+    edges = []
+    exceeded = False
+    for i, m in enumerate(nodes):
+        tokens = m if dependency else {(p, frozenset()) for p in m}
+        for step in subsets:
+            if not oracle_step_enabled(net, tokens, step):
+                continue
+            after = frozenset(oracle_fire(net, tokens, step))
+            if not dependency:
+                after = frozenset(p for p, _ in after)
+            if after not in index:
+                if len(nodes) >= limit:
+                    exceeded = True
+                    continue
+                index[after] = len(nodes)
+                nodes.append(after)
+            labels = tuple(sorted(net.labelling[t] for t in step))
+            edges.append((i, frozenset(step), labels, index[after]))
+    return nodes, edges, exceeded
+
+
 def brute_force_contact_free(net: cn.LabelledNet):
     """Fixpoint over explicit marking sets with the refusing firing rule."""
     reachable = {frozenset(net.initial_marking)}

@@ -4,6 +4,7 @@ import hashlib
 from pathlib import Path
 
 from causalnets.cli import main
+from causalnets.model import make_net, serialize_net
 
 NETS = Path(__file__).resolve().parent.parent / "src" / "causalnets" / "nets"
 
@@ -16,6 +17,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def oneshot(n):
+    """n independent visible one-shot transitions: every subset of the
+    enabled ones is a step."""
+    ps, qs, ts = ([f"{x}{i:02d}" for i in range(n)] for x in "pqt")
+    return make_net(ps + qs, ts, list(zip(ps, ts)) + list(zip(ts, qs)), ps,
+                    {t: f"a{i:02d}" for i, t in enumerate(ts)})
+
+
+def loops(n):
+    """n independent invisible self-loops: one marking, 2^n - 1 steps."""
+    ps, ts = ([f"{x}{i:02d}" for i in range(n)] for x in "pt")
+    return make_net(ps, ts, list(zip(ps, ts)) + list(zip(ts, ps)), ps)
+
+
+def rings(k):
+    """k independent rings of three invisible transitions."""
+    ps = [f"r{j}_{i}" for j in range(k) for i in range(3)]
+    ts = [f"u{j}_{i}" for j in range(k) for i in range(3)]
+    arcs = [(f"r{j}_{i}", f"u{j}_{i}") for j in range(k) for i in range(3)]
+    arcs += [(f"u{j}_{i}", f"r{j}_{(i + 1) % 3}") for j in range(k) for i in range(3)]
+    return make_net(ps, ts, arcs, [f"r{j}_0" for j in range(k)])
 
 
 class TestValidate:
@@ -122,6 +146,46 @@ class TestReach:
         for (name, mode, fmt), digest in pinned.items():
             flags = ["--dependency"] if mode == "dependency" else []
             code, out, _ = run(capsys, "reach", net(name), "--format", fmt, *flags)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, mode, fmt)
+
+    def test_step_heavy_bytes_pinned(self, capsys, tmp_path):
+        # SHA-256 of the bytes printed while every step was fired from
+        # scratch; these nets enable many steps per node, unlike the
+        # bundled ones
+        pinned = {
+            ("oneshot4", "plain", "human"):
+                "21a9d20c535207cc777c7c94ba97b5faf5ca28659a4a3a3740e2e7309e2a7230",
+            ("oneshot4", "plain", "tsv"):
+                "177ecfa7632e17b75f9ea1793add707d5dc4cfabec97308b6525f38e49d954be",
+            ("oneshot4", "dependency", "human"):
+                "d1df644131daefe01c2329a7e5c1d56260a502fd847cc30e2a6e9987509684fe",
+            ("oneshot4", "dependency", "tsv"):
+                "e9644fc404980b90ff3e0c1d199e80c6c864e4fe7d5cbf611e73e73dbaed1661",
+            ("loops6", "plain", "human"):
+                "6e7edbf1c24c4628161e0c16e81691839e20af13d55c7404bfa02cca5005161b",
+            ("loops6", "plain", "tsv"):
+                "775e7220af42493454ef17830b012fb6462e855e52905bb49abc75d12b6ce480",
+            ("loops6", "dependency", "human"):
+                "b1d7f0a95dce4b13f0833ef06e94668c385b22a9ff66bfa6320deb5fd9c935f3",
+            ("loops6", "dependency", "tsv"):
+                "a55fecbb94ed30be1cfd4936f393649728f9d3875343b34df738ffc53c8c4885",
+            ("rings2", "plain", "human"):
+                "34d9d52103226acc89e56b90c7462061615879f9b6285d63f8132dc5c530524c",
+            ("rings2", "plain", "tsv"):
+                "a9d58636fdc8c378e19f38d5e14ff61521bdbbfe874b874b9d065c7e9e59a30d",
+            ("rings2", "dependency", "human"):
+                "b2ba73741d3d4bf767e735d9d630973cc24553794a377ea64f39b2121f88b64d",
+            ("rings2", "dependency", "tsv"):
+                "5f18ddad422036d2ca2c8f8f0ad5ee4e309c673f5193bb2260e82d825a3078e5",
+        }
+        nets = {"oneshot4": oneshot(4), "loops6": loops(6), "rings2": rings(2)}
+        for name, built in nets.items():
+            (tmp_path / f"{name}.net").write_text(serialize_net(built), encoding="utf-8")
+        for (name, mode, fmt), digest in pinned.items():
+            flags = ["--dependency"] if mode == "dependency" else []
+            path = str(tmp_path / f"{name}.net")
+            code, out, _ = run(capsys, "reach", path, "--format", fmt, *flags)
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, mode, fmt)
 
@@ -287,6 +351,19 @@ class TestRefineAndExample:
             code, out, _ = run(capsys, "example", name)
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+    def test_format_rejected(self, capsys):
+        # both print net text, which has one form; the refine digest is of
+        # the bytes printed while --format was accepted and ignored
+        code, _, err = run(capsys, "example", "pure_m", "--format", "tsv")
+        assert code == 2 and "--format" in err
+        code, _, err = run(capsys, "refine", net("repeated_pure_m"), "-t", "b", "--format", "tsv")
+        assert code == 2 and "--format" in err
+        code, out, _ = run(capsys, "refine", net("repeated_pure_m"), "-t", "b")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "68a3b3686ee5ac5136b0b30549f3850561c7fa18fb3abfca12195088a01d1944"
+        )
 
     def test_example_unknown_name(self, capsys):
         code, *_ = run(capsys, "example", "nope")

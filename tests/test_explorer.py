@@ -1,5 +1,7 @@
 """Differential tests for the two successor relations of explore_reachable.
 
+The step graph must equal the one built by trying every subset of
+transitions with the oracle firing rule, node for node and edge for edge.
 The interleaving graph (``steps=False``) must reach exactly the markings of
 the step graph, carry exactly its singleton edges, cut off at the same
 state limits.  ``check_contact_free``, which now tests firings with the
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import causalnets as cn
 
-from helpers import random_contact_free_nets, random_net
+from helpers import brute_force_step_graph, random_contact_free_nets, random_net, tokens_of
 
 
 def old_contact_search(net, state_limit):
@@ -64,6 +66,20 @@ def labelled_edges(graph):
 
 def test_corpus_has_both_kinds():
     assert sum(not cn.check_contact_free(net).ok for net in NETS) >= 10
+
+
+def test_step_graph_matches_brute_force():
+    rng = random.Random(8)
+    for net in NETS:
+        for dependency in (False, True):
+            reachable = len(brute_force_step_graph(net, dependency, 10**6)[0])
+            for limit in sorted({1, reachable, reachable + 1, rng.randint(1, reachable + 1)}):
+                nodes, edges, exceeded = brute_force_step_graph(net, dependency, limit)
+                graph = cn.explore_reachable(net, dependency=dependency, state_limit=limit)
+                assert [frozenset(tokens_of(m)) if dependency else m for m in graph.nodes] == nodes
+                assert [(e.source, e.step, e.labels, e.target) for e in graph.edges] == edges
+                assert graph.limit_exceeded == exceeded == (reachable > limit)
+                assert graph.index == {m: i for i, m in enumerate(graph.nodes)}
 
 
 def test_same_nodes_and_singleton_edges():
