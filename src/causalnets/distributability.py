@@ -17,13 +17,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .model import DEFAULT_STATE_LIMIT, LabelledNet, render_marking
-from .semantics import (
-    LimitExceededError,
-    ReachGraph,
-    _independent,
-    _shortest_path,
-    explore_reachable,
-)
+from .semantics import _independent, _interleavings, _shortest_path
 
 
 @dataclass(frozen=True)
@@ -87,13 +81,6 @@ class PureMWitness:
     middle: str
     right: str
     marking: frozenset[str]
-
-
-def _interleavings(net: LabelledNet, state_limit: int) -> ReachGraph:
-    graph = explore_reachable(net, dependency=False, state_limit=state_limit, steps=False)
-    if graph.limit_exceeded:
-        raise LimitExceededError(f"more than {state_limit} reachable markings")
-    return graph
 
 
 def concurrency_relation(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .model import DEFAULT_STATE_LIMIT, TAU, LabelledNet, render_marking
-from .semantics import LimitExceededError, explore_reachable
+from .semantics import _interleavings
 from .unfolding import Pomset, enumerate_processes, visible_pomsets
 
 
@@ -129,9 +129,7 @@ def find_local_deadlock(
     disabling steps; losing an action to a visible alternative is ordinary
     conflict resolution, not a deadlock.
     """
-    graph = explore_reachable(net, dependency=False, state_limit=state_limit, steps=False)
-    if graph.limit_exceeded:
-        raise LimitExceededError(f"more than {state_limit} reachable markings")
+    graph = _interleavings(net, state_limit)
     n = len(graph.nodes)
     predecessors: list[list[int]] = [[] for _ in range(n)]
     enabled_labels: list[set[str]] = [set() for _ in range(n)]

@@ -164,11 +164,6 @@ def _enabled(net: LabelledNet, places: frozenset[str], t: str) -> bool:
     return pre <= places and not (places - pre) & net._postset[t]
 
 
-def net_end(net: LabelledNet) -> frozenset[str]:
-    """Places without outgoing arcs."""
-    return frozenset(s for s in net.places if not net._postset[s])
-
-
 @dataclass(frozen=True)
 class DepToken:
     """A token on ``place`` together with the visible labels it depends on."""
@@ -191,13 +186,6 @@ class DependencyMarking:
     def places(self) -> frozenset[str]:
         """The plain marking underneath (first projection)."""
         return frozenset(tok.place for tok in self.tokens)
-
-    @cached_property
-    def _deps(self) -> dict[str, frozenset[str]]:
-        return {tok.place: tok.deps for tok in self.tokens}
-
-    def deps_at(self, place: str) -> frozenset[str] | None:
-        return self._deps.get(place)
 
     def text(self) -> str:
         """Render tokens as ``p {a,c} ; q {}`` with places and labels sorted."""

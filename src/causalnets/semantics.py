@@ -33,10 +33,6 @@ class NotEnabledError(NetError):
     """Raised when firing a step that is not enabled."""
 
 
-class NotACycleError(NetError):
-    """Raised when a marking/step sequence does not return to its start."""
-
-
 class TruncatedGraphError(NetError):
     """Raised when an analysis needs a complete graph but got a partial one."""
 
@@ -80,18 +76,25 @@ def fire_step(net: LabelledNet, marking: DependencyMarking, step: Iterable[str])
     return _fire(net, marking, G)
 
 
+def _effect(
+    net: LabelledNet, at: Mapping[str, DepToken], t: str
+) -> tuple[frozenset[DepToken], frozenset[DepToken]]:
+    """The tokens ``t`` takes from a marking whose token on each place is
+    ``at[place]``, and the tokens it puts: one per postset place, depending
+    on ``t``'s visible label and on everything the taken tokens depend on."""
+    took = frozenset(at[p] for p in net._preset[t])
+    deps = frozenset({net.labelling[t]} - {TAU}).union(*(tok.deps for tok in took))
+    return took, frozenset(DepToken(s, deps) for s in net._postset[t])
+
+
 def _fire(net: LabelledNet, marking: DependencyMarking, G: Iterable[str]) -> DependencyMarking:
-    pre_g = frozenset(chain.from_iterable(net._preset[t] for t in G))
-    tokens = {tok for tok in marking.tokens if tok.place not in pre_g}
+    # The members are enabled and independent, so none takes what another puts.
+    at = {tok.place: tok for tok in marking.tokens}
+    tokens = marking.tokens
     for t in G:
-        pre = net._preset[t]
-        deps = frozenset({net.labelling[t]} - {TAU})
-        for tok in marking.tokens:
-            if tok.place in pre:
-                deps |= tok.deps
-        for s in net._postset[t]:
-            tokens.add(DepToken(s, deps))
-    return DependencyMarking(frozenset(tokens))
+        took, put = _effect(net, at, t)
+        tokens = (tokens - took) | put
+    return DependencyMarking(tokens)
 
 
 def labelled_step(
@@ -151,29 +154,6 @@ def weak_step(
             step_results |= labelled_step(net, m, (a,))
         current = _tau_closure(net, step_results)
     return current
-
-
-def enabled_steps(net: LabelledNet, marking) -> list[frozenset[str]]:
-    """All enabled steps at ``marking``, in lexicographic order.
-
-    Accepts a DependencyMarking or a plain marking.  Each step is a set of
-    individually enabled, pairwise independent transitions; every nonempty
-    subset of an enabled step is itself listed.
-    """
-    places = marking.places if isinstance(marking, DependencyMarking) else marking
-    singles = [t for t in sorted(net.transitions) if _enabled(net, places, t)]
-    out: list[frozenset[str]] = []
-
-    def grow(prefix: list[str], rest: list[str]):
-        for i, t in enumerate(rest):
-            if all(_independent(net, t, u) for u in prefix):
-                prefix.append(t)
-                out.append(frozenset(prefix))
-                grow(prefix, rest[i + 1:])
-                prefix.pop()
-
-    grow([], singles)
-    return out
 
 
 # --- reachability graphs -----------------------------------------------------
@@ -316,9 +296,7 @@ def explore_reachable(
         if dependency:
             at = {tok.place: tok for tok in tokens}
             for t in enabled:
-                took = frozenset(at[p] for p in pre[t])
-                deps = frozenset({label[t]} - {TAU}).union(*(tok.deps for tok in took))
-                effect[t] = took, frozenset(DepToken(s, deps) for s in post[t])
+                effect[t] = _effect(net, at, t)
         if steps:
             grow(i, [], [], tokens, enabled)
         else:
@@ -333,6 +311,15 @@ def explore_reachable(
         limit_exceeded=limit_exceeded,
         index=dict(zip(nodes, range(len(nodes)))) if dependency else seen,
     )
+
+
+def _interleavings(net: LabelledNet, state_limit: int) -> ReachGraph:
+    """The complete interleaving graph of plain markings, or
+    LimitExceededError when it has more than ``state_limit`` nodes."""
+    graph = explore_reachable(net, dependency=False, state_limit=state_limit, steps=False)
+    if graph.limit_exceeded:
+        raise LimitExceededError(f"more than {state_limit} reachable markings")
+    return graph
 
 
 # --- cycle dependency property ----------------------------------------------
@@ -353,15 +340,6 @@ class CycleViolation:
     transition: str
 
 
-@dataclass(frozen=True)
-class DependencyClass:
-    """Transitions of a cycle grouped by the exact dependency set of the
-    tokens they produced (or consumed, for transitions producing none)."""
-
-    label_set: frozenset[str]
-    transitions: frozenset[str]
-
-
 def _shortest_path(adjacency: Mapping[T, Iterable[T]], start: T, goal: T) -> tuple[T, ...] | None:
     """A shortest path from ``start`` to ``goal``, both included, following
     neighbours in sorted order; None when ``goal`` is unreachable."""
@@ -379,18 +357,6 @@ def _shortest_path(adjacency: Mapping[T, Iterable[T]], start: T, goal: T) -> tup
                 parent[y] = x
                 queue.append(y)
     return None
-
-
-def _firing_dep_sets(
-    net: LabelledNet, marking: DependencyMarking, t: str
-) -> tuple[list[frozenset[str]], frozenset[str] | None]:
-    """Dependency sets of the tokens ``t`` consumes at ``marking`` and of the
-    tokens it produces (None when the postset is empty)."""
-    pre = net._preset[t]
-    consumed = [tok.deps for tok in marking.tokens if tok.place in pre]
-    if not net._postset[t]:
-        return consumed, None
-    return consumed, frozenset({net.labelling[t]} - {TAU}).union(*consumed)
 
 
 def check_cycle_dependency(net: LabelledNet, graph: ReachGraph) -> list[CycleViolation]:
@@ -413,43 +379,13 @@ def check_cycle_dependency(net: LabelledNet, graph: ReachGraph) -> list[CycleVio
         adjacency.setdefault(e.source, set()).add(e.target)
     violations: set[CycleViolation] = set()
     for e in graph.edges:
-        marking = graph.nodes[e.source]
+        at = {tok.place: tok for tok in graph.nodes[e.source].tokens}
         bad = []
         for t in sorted(e.step):
-            consumed, produced = _firing_dep_sets(net, marking, t)
-            if produced is not None and any(deps != produced for deps in consumed):
+            took, put = _effect(net, at, t)
+            if any(a.deps != b.deps for a in took for b in put):
                 bad.append(t)
         if bad and (back := _shortest_path(adjacency, e.target, e.source)) is not None:
             violations.update(CycleViolation((e.source, *back[:-1]), t) for t in bad)
     return sorted(violations, key=lambda v: (v.cycle, v.transition))
 
-
-def dependency_classes(
-    net: LabelledNet, cycle: Sequence[tuple[DependencyMarking, Iterable[str]]]
-) -> frozenset[DependencyClass]:
-    """Group the transitions fired along a cycle by produced dependency set.
-
-    ``cycle`` is a sequence of (marking, step) pairs where each step leads
-    to the next pair's marking and the last step returns to the first.
-    """
-    items = [(m, _as_step(net, g)) for m, g in cycle]
-    if not items:
-        raise NotACycleError("empty sequence")
-    for k, (m, g) in enumerate(items):
-        try:
-            successor = fire_step(net, m, g)
-        except NotEnabledError as exc:
-            raise NotACycleError(str(exc)) from exc
-        expected = items[(k + 1) % len(items)][0]
-        if successor != expected:
-            raise NotACycleError(f"step {sorted(g)} does not lead to the next marking")
-    groups: dict[frozenset[str], set[str]] = {}
-    for m, g in items:
-        for t in sorted(g):
-            consumed, produced = _firing_dep_sets(net, m, t)
-            if produced is None:
-                produced = frozenset().union(*consumed)
-            groups.setdefault(produced, set()).add(t)
-    return frozenset(
-        DependencyClass(label_set, frozenset(ts)) for label_set, ts in groups.items()
-    )

