@@ -17,9 +17,17 @@ Runs every checkable piece of the argument on the bundled nets:
    escape-from-the-loop argument bite.
 """
 
+from pathlib import Path
+
 import causalnets as cn
-from causalnets.distributability import pure_m_text, verdict_text
-from causalnets.equivalence import deadlock_text
+from causalnets.cli import main as cli
+
+NETS = Path(cn.__file__).with_name("nets")
+
+
+def report(command, name):
+    """Print what ``causalnets <command>`` reports on a bundled net."""
+    cli([command, str(NETS / f"{name}.net")])
 
 
 def banner(text):
@@ -30,20 +38,19 @@ def banner(text):
 def main():
     spec = cn.builtin("repeated_pure_m")
     central = cn.builtin("centralised")
-    committing = cn.builtin("deadlocking")
 
     banner("1. the problematic shape")
     for name in ("pure_m", "repeated_pure_m"):
-        net = cn.builtin(name)
-        print(f"{name}: {pure_m_text(cn.find_pure_m(net))}", end="")
+        print(f"{name}: ", end="")
+        report("pure-m", name)
 
     banner("2. no location assignment exists for the specification")
-    print(verdict_text(cn.check_distributed(spec)), end="")
+    report("distributed", "repeated_pure_m")
     graph = cn.explore_reachable(spec, dependency=True)
     print(f"dependency markings: {len(graph.nodes)} (bound {graph.state_bound})")
 
     banner("3. the lock serialisation is distributed but couples a and c")
-    print(verdict_text(cn.check_distributed(central)), end="")
+    report("distributed", "centralised")
     verdict = cn.compare(spec, central, 4)
     print(f"bounded comparison at 4 visible events: "
           f"{'equivalent' if verdict.equivalent else 'INEQUIVALENT'}")
@@ -53,8 +60,8 @@ def main():
     print("the lock does, so the causal structure changed.")
 
     banner("4. the committing version deadlocks locally instead")
-    print(verdict_text(cn.check_distributed(committing)), end="")
-    print(deadlock_text(cn.find_local_deadlock(committing)), end="")
+    report("distributed", "deadlocking")
+    report("deadlock", "deadlocking")
     print("after the hidden commit tau1, label a can never fire again even")
     print("though b and c are still available; the original net never")
     print("withdraws a before b happens.")

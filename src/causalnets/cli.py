@@ -4,6 +4,9 @@ Every analysis is a subcommand with deterministic output.  Exit codes:
 0 when the command succeeds and the checked property holds (or there is
 nothing to refute), 1 when a property is refuted and a witness was printed,
 2 on usage, parse, or limit errors.
+
+This module lays out every report, in its human and its TSV form; the
+analysis modules return values and print nothing.
 """
 
 from __future__ import annotations
@@ -32,19 +35,14 @@ def _cmd_validate(args) -> int:
     if verdict.status == "limit_exceeded":
         print(f"state limit {args.limit} exceeded", file=sys.stderr)
         return 2
+    tsv = args.format == "tsv"
     if verdict.status == "violation":
-        if args.format == "tsv":
-            print(f"violation\t{verdict.transition}\t{','.join(sorted(verdict.marking))}")
-        else:
-            print(
-                f"CONTACT VIOLATION: transition {verdict.transition} "
-                f"at marking {model.render_marking(verdict.marking)}"
-            )
+        marked = ",".join(sorted(verdict.marking))
+        print(f"violation\t{verdict.transition}\t{marked}" if tsv else
+              f"CONTACT VIOLATION: transition {verdict.transition} at marking {{{marked}}}")
         return 1
-    if args.format == "tsv":
-        print("verdict\tcontact-free")
-    else:
-        print(f"valid: {len(net.places)} places, {len(net.transitions)} transitions, contact-free")
+    print("verdict\tcontact-free" if tsv else
+          f"valid: {len(net.places)} places, {len(net.transitions)} transitions, contact-free")
     return 0
 
 
@@ -74,32 +72,36 @@ def _cmd_reach(args) -> int:
 
 
 def _cmd_distributed(args) -> int:
-    net = _load(args.file)
-    verdict = distributability.check_distributed(net, args.limit)
-    if args.format == "tsv":
-        if verdict.distributed:
-            print("verdict\tDISTRIBUTED")
-            groups = verdict.distribution.locations()
-            for loc in sorted(groups, key=lambda loc: int(loc[3:])):
-                print(f"loc\t{loc[3:]}\t{' '.join(groups[loc])}")
-        else:
-            first, last = verdict.concurrent_endpoints
-            print("verdict\tNOT_DISTRIBUTED")
-            print(f"chain\t{','.join(verdict.chain)}")
-            print(f"concurrent\t{first}\t{last}")
+    verdict = distributability.check_distributed(_load(args.file), args.limit)
+    tsv = args.format == "tsv"
+    if verdict.distributed:
+        print("verdict\tDISTRIBUTED" if tsv else "DISTRIBUTED")
+        groups = verdict.distribution.locations()
+        for loc in sorted(groups, key=lambda loc: int(loc[3:])):
+            members = " ".join(groups[loc])
+            print(f"loc\t{loc[3:]}\t{members}" if tsv else f"loc {loc[3:]}: {members}")
+        return 0
+    first, last = verdict.concurrent_endpoints
+    if tsv:
+        print("verdict\tNOT_DISTRIBUTED")
+        print(f"chain\t{','.join(verdict.chain)}")
+        print(f"concurrent\t{first}\t{last}")
     else:
-        sys.stdout.write(distributability.verdict_text(verdict))
-    return 0 if verdict.distributed else 1
+        print("NOT DISTRIBUTED")
+        print(f"chain: {' -> '.join(verdict.chain)}")
+        print(f"concurrent: ({first}, {last})")
+    return 1
 
 
 def _cmd_pure_m(args) -> int:
-    net = _load(args.file)
-    witnesses = distributability.find_pure_m(net, args.limit)
-    if args.format == "tsv":
-        for w in witnesses:
-            print(f"pure-m\t{w.left}\t{w.middle}\t{w.right}\t{','.join(sorted(w.marking))}")
-    else:
-        sys.stdout.write(distributability.pure_m_text(witnesses))
+    witnesses = distributability.find_pure_m(_load(args.file), args.limit)
+    tsv = args.format == "tsv"
+    for w in witnesses:
+        marked = ",".join(sorted(w.marking))
+        print(f"pure-m\t{w.left}\t{w.middle}\t{w.right}\t{marked}" if tsv else
+              f"pure-m: ({w.left}, {w.middle}, {w.right}) at {{{marked}}}")
+    if not witnesses and not tsv:
+        print("no fully reachable pure M")
     return 1 if witnesses else 0
 
 
@@ -128,21 +130,19 @@ def _cmd_unfold(args) -> int:
 
 
 def _cmd_pomsets(args) -> int:
-    net = _load(args.file)
-    obs = equivalence.bounded_observation(net, args.bound, args.event_limit)
-    divergent = "yes" if obs.divergent else "no"
-    if args.format == "tsv":
-        for kind, pomsets in (("complete", obs.complete), ("partial", obs.partial)):
-            for pomset in sorted(pomsets):
+    obs = equivalence.bounded_observation(_load(args.file), args.bound, args.event_limit)
+    tsv = args.format == "tsv"
+    for kind, pomsets in (("complete", obs.complete), ("partial", obs.partial)):
+        if not tsv:
+            print(f"{kind}:")
+        for pomset in sorted(pomsets):
+            if tsv:
                 events, order = pomset.fields()
                 print(f"{kind}\t{events}\t{order}")
-        print(f"divergent\t{divergent}")
-    else:
-        print("complete:")
-        sys.stdout.write(unfolding.pomsets_text(obs.complete))
-        print("partial:")
-        sys.stdout.write(unfolding.pomsets_text(obs.partial))
-        print(f"divergent: {divergent}")
+            else:
+                sys.stdout.write(pomset.text())
+    divergent = "yes" if obs.divergent else "no"
+    print(f"divergent\t{divergent}" if tsv else f"divergent: {divergent}")
     return 0
 
 
@@ -150,30 +150,34 @@ def _cmd_compare(args) -> int:
     net_a = _load(args.file_a)
     net_b = _load(args.file_b)
     verdict = equivalence.compare(net_a, net_b, args.bound, args.event_limit)
-    if args.format == "tsv":
-        if verdict.equivalent:
-            print(f"verdict\tEQUIVALENT\t{verdict.bound}")
-        else:
-            w = verdict.witness
-            events, order = w.pomset.fields()
-            print(f"verdict\tINEQUIVALENT\t{verdict.bound}")
-            print(f"witness\t{w.side}\t{w.kind}\t{events}\t{order}")
+    tsv = args.format == "tsv"
+    if verdict.equivalent:
+        print(f"verdict\tEQUIVALENT\t{verdict.bound}" if tsv else
+              f"EQUIVALENT (bound {verdict.bound})")
+        return 0
+    w = verdict.witness
+    if tsv:
+        events, order = w.pomset.fields()
+        print(f"verdict\tINEQUIVALENT\t{verdict.bound}")
+        print(f"witness\t{w.side}\t{w.kind}\t{events}\t{order}")
     else:
-        sys.stdout.write(equivalence.verdict_text(verdict))
-    return 0 if verdict.equivalent else 1
+        print(f"INEQUIVALENT (bound {verdict.bound})")
+        print(f"witness ({w.side}, {w.kind}):")
+        sys.stdout.write(w.pomset.text())
+    return 1
 
 
 def _cmd_deadlock(args) -> int:
-    net = _load(args.file)
-    witnesses = equivalence.find_local_deadlock(net, args.limit)
-    if args.format == "tsv":
-        for w in witnesses:
-            print(
-                f"deadlock\t{','.join(w.trace)}\t{','.join(sorted(w.marking))}"
-                f"\t{w.dead_label}\t{','.join(sorted(w.live_labels))}"
-            )
-    else:
-        sys.stdout.write(equivalence.deadlock_text(witnesses))
+    witnesses = equivalence.find_local_deadlock(_load(args.file), args.limit)
+    tsv = args.format == "tsv"
+    for w in witnesses:
+        trace = ",".join(w.trace)
+        marked = ",".join(sorted(w.marking))
+        live = ",".join(sorted(w.live_labels))
+        print(f"deadlock\t{trace}\t{marked}\t{w.dead_label}\t{live}" if tsv else
+              f"deadlock: trace=[{trace}] marking={{{marked}}} dead={w.dead_label} live={{{live}}}")
+    if not witnesses and not tsv:
+        print("no local deadlock")
     return 1 if witnesses else 0
 
 
@@ -193,68 +197,55 @@ def _cmd_example(args) -> int:
     return 0
 
 
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_FORMAT = _arg("--format", choices=["human", "tsv"], default="human")
+_FILE = _arg("file")
+_LIMIT = _arg("--limit", type=int, default=model.DEFAULT_STATE_LIMIT)
+_BOUND = _arg("-k", "--bound", type=int, default=4)
+_EVENT_LIMIT = _arg("--event-limit", type=int, default=None)
+_OUTPUT = _arg("-o", "--output", default=None)
+
+# Each subcommand's name, help, runner and arguments; argparse lists the
+# options in this order.  Only the subcommands that print a report take
+# --format: net text has one form.
+_COMMANDS = (
+    ("validate", "structural and contact-freeness check", _cmd_validate,
+     (_FORMAT, _FILE, _LIMIT)),
+    ("reach", "reachability graph over plain or dependency markings", _cmd_reach,
+     (_FORMAT, _FILE, _arg("--dependency", action="store_true"), _LIMIT)),
+    ("distributed", "distributability verdict", _cmd_distributed,
+     (_FORMAT, _FILE, _LIMIT)),
+    ("pure-m", "scan for fully reachable pure M structures", _cmd_pure_m,
+     (_FORMAT, _FILE, _LIMIT)),
+    ("unfold", "enumerate processes up to a visible bound", _cmd_unfold,
+     (_FORMAT, _FILE, _BOUND, _EVENT_LIMIT, _arg("--complete-only", action="store_true"))),
+    ("pomsets", "bounded observation: pomset sets and divergence", _cmd_pomsets,
+     (_FORMAT, _FILE, _BOUND, _EVENT_LIMIT)),
+    ("compare", "bounded completed-pomset comparison of two nets", _cmd_compare,
+     (_FORMAT, _arg("file_a"), _arg("file_b"), _BOUND, _EVENT_LIMIT)),
+    ("deadlock", "find local deadlocks caused by hidden steps", _cmd_deadlock,
+     (_FORMAT, _FILE, _LIMIT)),
+    ("refine", "split a transition behind an invisible prefix", _cmd_refine,
+     (_FILE, _arg("-t", "--transition", required=True), _OUTPUT)),
+    ("example", "emit a bundled net", _cmd_example,
+     (_arg("name", choices=list(transforms.BUILTIN_NAMES)), _OUTPUT)),
+)
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causalnets",
         description="Causal semantics and distributability analysis for 1-safe labelled nets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, formats=True, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, summary, func, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        if formats:
-            p.add_argument("--format", choices=["human", "tsv"], default="human")
-        return p
-
-    p = add("validate", _cmd_validate, help="structural and contact-freeness check")
-    p.add_argument("file")
-    p.add_argument("--limit", type=int, default=model.DEFAULT_STATE_LIMIT)
-
-    p = add("reach", _cmd_reach, help="reachability graph over plain or dependency markings")
-    p.add_argument("file")
-    p.add_argument("--dependency", action="store_true")
-    p.add_argument("--limit", type=int, default=model.DEFAULT_STATE_LIMIT)
-
-    p = add("distributed", _cmd_distributed, help="distributability verdict")
-    p.add_argument("file")
-    p.add_argument("--limit", type=int, default=model.DEFAULT_STATE_LIMIT)
-
-    p = add("pure-m", _cmd_pure_m, help="scan for fully reachable pure M structures")
-    p.add_argument("file")
-    p.add_argument("--limit", type=int, default=model.DEFAULT_STATE_LIMIT)
-
-    p = add("unfold", _cmd_unfold, help="enumerate processes up to a visible bound")
-    p.add_argument("file")
-    p.add_argument("-k", "--bound", type=int, default=4)
-    p.add_argument("--event-limit", type=int, default=None)
-    p.add_argument("--complete-only", action="store_true")
-
-    p = add("pomsets", _cmd_pomsets, help="bounded observation: pomset sets and divergence")
-    p.add_argument("file")
-    p.add_argument("-k", "--bound", type=int, default=4)
-    p.add_argument("--event-limit", type=int, default=None)
-
-    p = add("compare", _cmd_compare, help="bounded completed-pomset comparison of two nets")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.add_argument("-k", "--bound", type=int, default=4)
-    p.add_argument("--event-limit", type=int, default=None)
-
-    p = add("deadlock", _cmd_deadlock, help="find local deadlocks caused by hidden steps")
-    p.add_argument("file")
-    p.add_argument("--limit", type=int, default=model.DEFAULT_STATE_LIMIT)
-
-    p = add("refine", _cmd_refine, formats=False,
-            help="split a transition behind an invisible prefix")
-    p.add_argument("file")
-    p.add_argument("-t", "--transition", required=True)
-    p.add_argument("-o", "--output", default=None)
-
-    p = add("example", _cmd_example, formats=False, help="emit a bundled net")
-    p.add_argument("name", choices=list(transforms.BUILTIN_NAMES))
-    p.add_argument("-o", "--output", default=None)
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -268,10 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except model.NetParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (model.NetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (model.NetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
-from .model import DEFAULT_STATE_LIMIT, LabelledNet, render_marking
+from .model import DEFAULT_STATE_LIMIT, LabelledNet
 from .semantics import _independent, _interleavings, _shortest_path
 
 
@@ -183,27 +183,3 @@ def find_pure_m(net: LabelledNet, state_limit: int = DEFAULT_STATE_LIMIT) -> lis
             if covering is not None:
                 out.append(PureMWitness(left, middle, right, covering))
     return sorted(out, key=lambda w: (w.left, w.middle, w.right))
-
-
-def verdict_text(verdict: DistributabilityVerdict) -> str:
-    if verdict.distributed:
-        lines = ["DISTRIBUTED"]
-        groups = verdict.distribution.locations()
-        for loc in sorted(groups, key=lambda loc: int(loc[3:])):
-            lines.append(f"loc {loc[3:]}: {' '.join(groups[loc])}")
-        return "\n".join(lines) + "\n"
-    first, last = verdict.concurrent_endpoints
-    return (
-        "NOT DISTRIBUTED\n"
-        f"chain: {' -> '.join(verdict.chain)}\n"
-        f"concurrent: ({first}, {last})\n"
-    )
-
-
-def pure_m_text(witnesses: list[PureMWitness]) -> str:
-    if not witnesses:
-        return "no fully reachable pure M\n"
-    return "".join(
-        f"pure-m: ({w.left}, {w.middle}, {w.right}) at {render_marking(w.marking)}\n"
-        for w in witnesses
-    )

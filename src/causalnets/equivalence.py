@@ -10,9 +10,8 @@ not.  Verdicts are always relative to the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .model import DEFAULT_STATE_LIMIT, TAU, LabelledNet, render_marking
+from .model import DEFAULT_STATE_LIMIT, TAU, LabelledNet
 from .semantics import _interleavings
 from .unfolding import Pomset, enumerate_processes, visible_pomsets
 
@@ -107,16 +106,6 @@ def compare(
     return EquivalenceVerdict(True, k)
 
 
-def verdict_text(verdict: EquivalenceVerdict) -> str:
-    if verdict.equivalent:
-        return f"EQUIVALENT (bound {verdict.bound})\n"
-    w = verdict.witness
-    return (
-        f"INEQUIVALENT (bound {verdict.bound})\n"
-        f"witness ({w.side}, {w.kind}):\n" + w.pomset.text()
-    )
-
-
 def find_local_deadlock(
     net: LabelledNet, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> list[LocalDeadlockWitness]:
@@ -186,14 +175,3 @@ def _live_labels(
                     live[i].add(x)
                     stack.append(i)
     return [frozenset(labels) for labels in live]
-
-
-def deadlock_text(witnesses: Iterable[LocalDeadlockWitness]) -> str:
-    witnesses = list(witnesses)
-    if not witnesses:
-        return "no local deadlock\n"
-    return "".join(
-        f"deadlock: trace=[{','.join(w.trace)}] marking={render_marking(w.marking)} "
-        f"dead={w.dead_label} live={{{','.join(sorted(w.live_labels))}}}\n"
-        for w in witnesses
-    )

@@ -200,10 +200,6 @@ def initial_dependency_marking(net: LabelledNet) -> DependencyMarking:
     return DependencyMarking(frozenset(DepToken(s, frozenset()) for s in net.initial_marking))
 
 
-def render_marking(marking: Iterable[str]) -> str:
-    return "{" + ",".join(sorted(marking)) + "}"
-
-
 # --- textual net format ----------------------------------------------------
 #
 #   place <id> ["*"]          "*" marks the place initially

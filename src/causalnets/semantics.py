@@ -116,7 +116,7 @@ def labelled_step(
     for pick in product(*pools):
         G = frozenset(chain.from_iterable(pick))
         if step_enabled(net, marking, G):
-            out.add(fire_step(net, marking, G))
+            out.add(_fire(net, marking, G))
     return out
 
 
@@ -129,7 +129,7 @@ def _tau_closure(net: LabelledNet, markings: Iterable[DependencyMarking]) -> set
         for t in taus:
             g = frozenset((t,))
             if step_enabled(net, m, g):
-                m2 = fire_step(net, m, g)
+                m2 = _fire(net, m, g)
                 if m2 not in seen:
                     seen.add(m2)
                     stack.append(m2)

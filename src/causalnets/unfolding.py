@@ -439,8 +439,3 @@ def visible_pomsets(processes: Iterable[Process]) -> list[Pomset]:
             pomset = done[key] = visible_pomset(process)
         pomsets.append(pomset)
     return pomsets
-
-
-def pomsets_text(pomsets: Iterable[Pomset]) -> str:
-    """All pomset blocks in canonical-encoding order."""
-    return "".join(p.text() for p in sorted(pomsets))

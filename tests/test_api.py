@@ -3,6 +3,7 @@
 from collections import Counter
 
 import causalnets as cn
+from causalnets import distributability, equivalence, model, unfolding
 
 # Names the tests keep in helpers.py; no program, demo or benchmark uses them.
 TEST_ONLY = (
@@ -20,3 +21,10 @@ def test_every_public_name_resolves_once():
 def test_test_only_names_left_the_library():
     assert [name for name in TEST_ONLY if hasattr(cn, name) or name in cn.__all__] == []
     assert not hasattr(cn.DependencyMarking, "deps_at")
+
+
+def test_report_layouts_left_the_library():
+    # the CLI owns every report layout, human and TSV alike
+    renderers = ("verdict_text", "pure_m_text", "deadlock_text", "pomsets_text", "render_marking")
+    modules = (distributability, equivalence, unfolding, model)
+    assert [(m.__name__, r) for m in modules for r in renderers if hasattr(m, r)] == []

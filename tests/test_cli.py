@@ -1,12 +1,18 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import hashlib
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 from causalnets.cli import main
 from causalnets.model import make_net, serialize_net
+from causalnets.transforms import BUILTIN_NAMES
 
-NETS = Path(__file__).resolve().parent.parent / "src" / "causalnets" / "nets"
+ROOT = Path(__file__).resolve().parent.parent
+NETS = ROOT / "src" / "causalnets" / "nets"
 
 
 def net(name):
@@ -377,9 +383,134 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    def test_readme_lists_every_subcommand(self, capsys):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        documented = [
+            line.split()[1] for line in block.splitlines() if line.startswith("causalnets ")
+        ]
+        _, out, _ = run(capsys, "--help")
+        listed = re.search(r"\{([^}]*)\}", out).group(1).split(",")
+        assert sorted(documented) == sorted(listed)
+
     def test_witness_only_with_exit_one(self, capsys):
         # exit 0 must not print a witness; exit 1 must print one
         code, out, _ = run(capsys, "deadlock", net("repeated_pure_m"))
         assert code == 0 and "deadlock:" not in out
         code, out, _ = run(capsys, "deadlock", net("deadlocking"))
         assert code == 1 and "deadlock:" in out
+
+
+def digest(runs):
+    return hashlib.sha256(repr(runs).encode()).hexdigest()
+
+
+# Each report on the four bundled nets, in both formats: one digest of the
+# (exit code, stdout, stderr) of the four runs per (command, format).
+REPORTS = {
+    "validate": ["validate", "@"],
+    "reach": ["reach", "@"],
+    "reach-dependency": ["reach", "@", "--dependency"],
+    "distributed": ["distributed", "@"],
+    "pure-m": ["pure-m", "@"],
+    "unfold": ["unfold", "@", "-k", "3"],
+    "pomsets": ["pomsets", "@", "-k", "3"],
+    "compare": ["compare", net("repeated_pure_m"), "@", "-k", "3"],
+    "deadlock": ["deadlock", "@"],
+}
+
+class TestPinnedBytes:
+    # SHA-256 of what the CLI printed while each report's human layout lived
+    # in the analysis modules and its TSV layout in the CLI
+    REPORT_DIGESTS = {
+        ("validate", "human"):
+            "19708f787e22668a673a6b37493d6eb0148a1b67fb90269fcb5ae0c6ecb21f4c",
+        ("validate", "tsv"):
+            "8e1fb2e1a8726c89cc1408b7a39f65ab20cfbcc151db2709b44a50488731bd65",
+        ("reach", "human"):
+            "9366edd68c15cf1605f681aab65f002cae6ad4466504f2105b4cc5b3497ad9cf",
+        ("reach", "tsv"):
+            "1a8810e10bd4e4755588e9728f1ee8c2893c53ce5fa81c852a09a77b8feaa429",
+        ("reach-dependency", "human"):
+            "d8cd783369dc789ccf93467a0b6e234b205e49b551e7c840ccb1048a20963353",
+        ("reach-dependency", "tsv"):
+            "e436c2e459a684f1e9a6856c4270bc08c03a7f9e4160ffa7abd20be6a83d0863",
+        ("distributed", "human"):
+            "91845b7da9db95ea80605cdecdabfbb8893d6201e566e192ce8dbf171493d9a4",
+        ("distributed", "tsv"):
+            "cd8d2eb5c24860d19191bea46eb6433898c51c06303db493678911c624d4b2bb",
+        ("pure-m", "human"):
+            "1a6b4c1a1b5a864bffd693a30518b6a3278e91283c79e7ddf82f7a39edb344a2",
+        ("pure-m", "tsv"):
+            "fef631c3b1224a8b77bdc1bb744f8d255ebda7203a316b9e85ccbee1e81b361b",
+        ("unfold", "human"):
+            "850dd2af3220861c9ce5635cf9e771e5162cabaf319c186522054779191f16d2",
+        ("unfold", "tsv"):
+            "793cd24778d18718292de1e2d33b32acf9bacdbc9a56d870abe726278a1805b8",
+        ("pomsets", "human"):
+            "de7d80b093d065df4a29a9854969df4a2d40022a99cbb8cce7a950138f44be93",
+        ("pomsets", "tsv"):
+            "bfa7c40ab60e1156fb2f6800f4e1b473cc20da104eb1554019d4401daae9f409",
+        ("compare", "human"):
+            "24501fa92f833aa845156994fc440b1a5f51a62fa474dc32088bffc06d1bf103",
+        ("compare", "tsv"):
+            "f2024354afbb8c126a82386471fb196e39765962ceb120982dd2a14b4303450b",
+        ("deadlock", "human"):
+            "7a9065ee02b7331770cd46bb7059b167975688d8c0554ce7b2cdde92b5044195",
+        ("deadlock", "tsv"):
+            "9bbe43da17bf6cfe12a672f9f5270413ba85f5b6395fc2a96d234924bb892ac1",
+    }
+    # help and usage errors, as argparse lays them out; "@" is the pure_m net
+    USAGE_DIGESTS = {
+        "--help":
+            "5a62670d4d30578f99fcde06bea85bada3a443d7c3a28a0dd833a3e62fdb5819",
+        "":
+            "2ac6e18127cdbd4386c9b52739045a7832e9dee4e4bae541aae5d4245e8bef85",
+        "frobnicate":
+            "9614cc6ee105544e3fab1895153c3bf663563249843c0c4c75a65b24b0112430",
+        "validate --help":
+            "d338c11da6b6b429abfdac3243e20a0425c70545560f54646fd97dbe68f68480",
+        "reach --help":
+            "63f393abfa83f3aa40879786b8e56ef0a0ed75070cb497a397e7a9893ae649a9",
+        "distributed --help":
+            "10c289485882194cd5131d2652bce1f0ddec974c36e6bea3d1a7633129251f74",
+        "pure-m --help":
+            "0c05427b5ee2c2b5d37a1cca5933b1b542df947e79583b3bc4497737fe1407d4",
+        "unfold --help":
+            "f5a300611d153b2ca79222547b805067dcb63cf46a6a55fb9812190f27d48003",
+        "pomsets --help":
+            "a05a45f118e5c42a0a39536f8244b9ba4ea2aed43ee5b9635ff9ae5dbca0fed4",
+        "compare --help":
+            "4634c82404f03cfdd1fd97d8425f1711fcdfdf604a55df738c9383b44e5375bc",
+        "deadlock --help":
+            "a6fc479c226d607a0886202786a59e1ee77ac9ac242f356974e91f003ca156e6",
+        "refine --help":
+            "830e35992f88cd5d1f90f85775b41343c72acd5884d7bea029765c423791eb93",
+        "example --help":
+            "db4b187c5369feb2cb0229f57fc481731b57e9755a729b9114e358ad9117fd55",
+        "validate no/such/file.net":
+            "24bf5dd1014dea4cbd4bee4a50f367a0ddaf4b9c3ad6b7ea9b0b832734b7b833",
+        "distributed @ --format xml":
+            "e3342cc5051f843c1bfac895610dfd5e707d2c15d11c967f05fc73fe72608814",
+        "refine @":
+            "d4535ab25f28d1b0b0d7c4d341262569c87e06824223c9c04bb3f479ab86093e",
+        "example nope":
+            "6e1f8d247fc2dd982756f135110e422bdde59770a6ad5ecb7f474cef41643fc3",
+        "unfold @ -k x":
+            "82ecd3a76f707fd2029cdebd5086ba4f573de43f4ecdcf18a0e7ffbb51961c1b",
+    }
+
+    def test_reports(self, capsys):
+        for (name, fmt), pinned in self.REPORT_DIGESTS.items():
+            runs = [
+                run(capsys, *(net(n) if a == "@" else a for a in REPORTS[name]), "--format", fmt)
+                for n in BUILTIN_NAMES
+            ]
+            assert digest(runs) == pinned, (name, fmt)
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's layout is per version")
+    def test_usage(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv, pinned in self.USAGE_DIGESTS.items():
+            args = [net("pure_m") if a == "@" else a for a in argv.split()]
+            assert digest(run(capsys, *args)) == pinned, argv
