@@ -201,12 +201,18 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
-_FORMAT = _arg("--format", choices=["human", "tsv"], default="human")
-_FILE = _arg("file")
-_LIMIT = _arg("--limit", type=int, default=model.DEFAULT_STATE_LIMIT)
-_BOUND = _arg("-k", "--bound", type=int, default=4)
-_EVENT_LIMIT = _arg("--event-limit", type=int, default=None)
-_OUTPUT = _arg("-o", "--output", default=None)
+_FORMAT = _arg("--format", choices=["human", "tsv"], default="human",
+               help="report layout: readable text or tab-separated rows (default: %(default)s)")
+_FILE = _arg("file", help="net file in the causalnets text format")
+_LIMIT = _arg("--limit", type=int, default=model.DEFAULT_STATE_LIMIT,
+              help="most reachable markings to explore; more exits 2 (default: %(default)s)")
+_BOUND = _arg("-k", "--bound", type=int, default=4,
+              help="most visible events per process (default: %(default)s)")
+_EVENT_LIMIT = _arg("--event-limit", type=int, default=None,
+                    help="most events per process, invisible ones too; a process cut "
+                         "there is marked saturated (default: 10*k + 50)")
+_OUTPUT = _arg("-o", "--output", default=None,
+               help="write the net to this file (default: standard output)")
 
 # Each subcommand's name, help, runner and arguments; argparse lists the
 # options in this order.  Only the subcommands that print a report take
@@ -215,23 +221,33 @@ _COMMANDS = (
     ("validate", "structural and contact-freeness check", _cmd_validate,
      (_FORMAT, _FILE, _LIMIT)),
     ("reach", "reachability graph over plain or dependency markings", _cmd_reach,
-     (_FORMAT, _FILE, _arg("--dependency", action="store_true"), _LIMIT)),
+     (_FORMAT, _FILE,
+      _arg("--dependency", action="store_true",
+           help="explore dependency markings, whose tokens carry their visible "
+                "causes (default: plain markings)"),
+      _LIMIT)),
     ("distributed", "distributability verdict", _cmd_distributed,
      (_FORMAT, _FILE, _LIMIT)),
     ("pure-m", "scan for fully reachable pure M structures", _cmd_pure_m,
      (_FORMAT, _FILE, _LIMIT)),
     ("unfold", "enumerate processes up to a visible bound", _cmd_unfold,
-     (_FORMAT, _FILE, _BOUND, _EVENT_LIMIT, _arg("--complete-only", action="store_true"))),
+     (_FORMAT, _FILE, _BOUND, _EVENT_LIMIT,
+      _arg("--complete-only", action="store_true",
+           help="list only maximal processes (default: every process)"))),
     ("pomsets", "bounded observation: pomset sets and divergence", _cmd_pomsets,
      (_FORMAT, _FILE, _BOUND, _EVENT_LIMIT)),
     ("compare", "bounded completed-pomset comparison of two nets", _cmd_compare,
-     (_FORMAT, _arg("file_a"), _arg("file_b"), _BOUND, _EVENT_LIMIT)),
+     (_FORMAT, _arg("file_a", help="first net file"), _arg("file_b", help="second net file"),
+      _BOUND, _EVENT_LIMIT)),
     ("deadlock", "find local deadlocks caused by hidden steps", _cmd_deadlock,
      (_FORMAT, _FILE, _LIMIT)),
     ("refine", "split a transition behind an invisible prefix", _cmd_refine,
-     (_FILE, _arg("-t", "--transition", required=True), _OUTPUT)),
+     (_FILE, _arg("-t", "--transition", required=True,
+                  help="the transition to split (required)"),
+      _OUTPUT)),
     ("example", "emit a bundled net", _cmd_example,
-     (_arg("name", choices=list(transforms.BUILTIN_NAMES)), _OUTPUT)),
+     (_arg("name", choices=list(transforms.BUILTIN_NAMES), help="which bundled net to emit"),
+      _OUTPUT)),
 )
 
 

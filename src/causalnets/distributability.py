@@ -107,11 +107,11 @@ def _shared_preplace_graph(net: LabelledNet) -> dict[str, set[str]]:
 
 
 def _components(adjacency: dict[str, set[str]]) -> dict[str, str]:
+    # Starts go in sorted order, so each component is named by its least member.
     component: dict[str, str] = {}
     for start in sorted(adjacency):
         if start in component:
             continue
-        members = [start]
         component[start] = start
         queue = deque([start])
         while queue:
@@ -119,11 +119,7 @@ def _components(adjacency: dict[str, set[str]]) -> dict[str, str]:
             for y in adjacency[x]:
                 if y not in component:
                     component[y] = start
-                    members.append(y)
                     queue.append(y)
-        root = min(members)
-        for m in members:
-            component[m] = root
     return component
 
 

@@ -10,7 +10,7 @@ that transition consumed; the invisible label is never recorded.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, product
 from typing import Iterable, Mapping, Sequence, TypeVar
 
@@ -171,7 +171,7 @@ def state_bound(net: LabelledNet) -> int:
 @dataclass(frozen=True, slots=True)
 class ReachEdge:
     source: int
-    step: frozenset[str]
+    step: tuple[str, ...]
     labels: tuple[str, ...]
     target: int
 
@@ -184,7 +184,8 @@ class ReachGraph:
     ``dependency=False``.  Built with ``steps=True`` the edges record every
     enabled step, so the graph also carries the step-concurrency
     information; built with ``steps=False`` they record the interleavings:
-    one edge per enabled transition.
+    one edge per enabled transition.  An edge's step is the sorted tuple of
+    its transitions.
     """
 
     dependency: bool
@@ -192,7 +193,6 @@ class ReachGraph:
     edges: list[ReachEdge]
     state_bound: int
     limit_exceeded: bool
-    index: dict = field(repr=False)
 
     @property
     def root(self):
@@ -210,7 +210,7 @@ class ReachGraph:
             bodies = [node.text() for node in self.nodes]
         else:
             bodies = [" ; ".join(sorted(node)) for node in self.nodes]
-        rows = sorted((e.source, e.target, sorted(e.step), e.labels) for e in self.edges)
+        rows = sorted((e.source, e.target, e.step, e.labels) for e in self.edges)
         return bodies, [(s, ",".join(ids), ",".join(labs), t) for s, t, ids, labs in rows]
 
     def to_text(self) -> str:
@@ -249,7 +249,7 @@ def explore_reachable(
     edges: list[ReachEdge] = []
     limit_exceeded = False
 
-    def add_edge(i: int, g: frozenset[str], labels: tuple[str, ...], after: frozenset):
+    def add_edge(i: int, g: tuple[str, ...], labels: tuple[str, ...], after: frozenset):
         nonlocal limit_exceeded
         j = seen.get(after)
         if j is None:
@@ -261,7 +261,7 @@ def explore_reachable(
         edges.append(ReachEdge(i, g, labels, j))
 
     order = sorted(net.transitions)
-    single = {t: (frozenset((t,)), (label[t],)) for t in order}
+    single = {t: ((t,), (label[t],)) for t in order}
     # The transitions after t in sorted order that are independent of t;
     # independence depends on the net alone.
     later = {
@@ -274,8 +274,8 @@ def explore_reachable(
     # successor is the node less all taken plus all put tokens.
     effect = {} if dependency else {t: (pre[t], post[t]) for t in order}
 
-    # The steps at node i in lexicographic order, recorded one at a time
-    # rather than collected first: a node of loops(12) enables 4095 steps.
+    # The steps at node i, as sorted tuples in lexicographic order, recorded
+    # one at a time rather than collected first: loops(12) has 4095 at a node.
     def grow(i: int, members: list[str], labels: list[str], before: frozenset,
              candidates: list[str]):
         for k, t in enumerate(candidates):
@@ -283,7 +283,7 @@ def explore_reachable(
             after = (before - took) | put
             members.append(t)
             labels.append(label[t])
-            add_edge(i, frozenset(members), tuple(sorted(labels)), after)
+            add_edge(i, tuple(members), tuple(sorted(labels)), after)
             independent = later[t]
             grow(i, members, labels, after, [u for u in candidates[k + 1:] if u in independent])
             members.pop()
@@ -309,7 +309,6 @@ def explore_reachable(
         edges=edges,
         state_bound=state_bound(net),
         limit_exceeded=limit_exceeded,
-        index=dict(zip(nodes, range(len(nodes)))) if dependency else seen,
     )
 
 
@@ -365,10 +364,11 @@ def check_cycle_dependency(net: LabelledNet, graph: ReachGraph) -> list[CycleVio
     On a cycle, a transition that produces tokens must produce them with
     exactly the dependency set carried by each token it consumed.  The
     check is exact: an edge lies on a cycle exactly when its source is
-    reachable from its target, so each edge is tested once and only an
-    edge with a violating transition pays for one breadth-first search
-    back to its source.  One violation is reported per edge and
-    transition; for 1-safe nets the returned list is empty.
+    reachable from its target.  Each (node, transition) is tested once,
+    however many steps contain it, and only an edge with a violating
+    transition pays for one breadth-first search back to its source.  One
+    violation is reported per edge and transition; for 1-safe nets the
+    returned list is empty.
     """
     if not graph.dependency:
         raise ValueError("a dependency reach graph is required")
@@ -378,13 +378,14 @@ def check_cycle_dependency(net: LabelledNet, graph: ReachGraph) -> list[CycleVio
     for e in graph.edges:
         adjacency.setdefault(e.source, set()).add(e.target)
     violations: set[CycleViolation] = set()
+    flagged: dict[tuple[int, str], bool] = {}  # (node, transition) -> violates
     for e in graph.edges:
-        at = {tok.place: tok for tok in graph.nodes[e.source].tokens}
-        bad = []
-        for t in sorted(e.step):
-            took, put = _effect(net, at, t)
-            if any(a.deps != b.deps for a in took for b in put):
-                bad.append(t)
+        for t in e.step:
+            if (e.source, t) not in flagged:
+                at = {tok.place: tok for tok in graph.nodes[e.source].tokens}
+                took, put = _effect(net, at, t)
+                flagged[e.source, t] = any(a.deps != b.deps for a in took for b in put)
+        bad = [t for t in e.step if flagged[e.source, t]]
         if bad and (back := _shortest_path(adjacency, e.target, e.source)) is not None:
             violations.update(CycleViolation((e.source, *back[:-1]), t) for t in bad)
     return sorted(violations, key=lambda v: (v.cycle, v.transition))

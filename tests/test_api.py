@@ -1,6 +1,7 @@
 """The package's public names: what ``from causalnets import *`` brings in."""
 
 from collections import Counter
+from dataclasses import fields
 
 import causalnets as cn
 from causalnets import distributability, equivalence, model, unfolding
@@ -28,3 +29,8 @@ def test_report_layouts_left_the_library():
     renderers = ("verdict_text", "pure_m_text", "deadlock_text", "pomsets_text", "render_marking")
     modules = (distributability, equivalence, unfolding, model)
     assert [(m.__name__, r) for m in modules for r in renderers if hasattr(m, r)] == []
+
+
+def test_reach_graph_has_no_index():
+    # nodes are looked up with graph.nodes.index; no second dict is kept
+    assert "index" not in {f.name for f in fields(cn.ReachGraph)}

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from causalnets.cli import main
+from causalnets.cli import _COMMANDS, main
 from causalnets.model import make_net, serialize_net
 from causalnets.transforms import BUILTIN_NAMES
 
@@ -393,6 +393,18 @@ class TestUsage:
         listed = re.search(r"\{([^}]*)\}", out).group(1).split(",")
         assert sorted(documented) == sorted(listed)
 
+    def test_every_argument_has_help(self):
+        # each option's help names its default, or says it is required
+        missing = []
+        for name, _, _, arguments in _COMMANDS:
+            for flags, kwargs in arguments:
+                text = kwargs.get("help", "")
+                option = flags[0].startswith("-")
+                named = "(default: " in text or "(required)" in text
+                if not text or (option and not named):
+                    missing.append((name, flags[0]))
+        assert missing == []
+
     def test_witness_only_with_exit_one(self, capsys):
         # exit 0 must not print a witness; exit 1 must print one
         code, out, _ = run(capsys, "deadlock", net("repeated_pure_m"))
@@ -469,25 +481,25 @@ class TestPinnedBytes:
         "frobnicate":
             "9614cc6ee105544e3fab1895153c3bf663563249843c0c4c75a65b24b0112430",
         "validate --help":
-            "d338c11da6b6b429abfdac3243e20a0425c70545560f54646fd97dbe68f68480",
+            "aeb568223b52bdbf4c62c98ef603ddffdcd38b855adb6d2bf36d4832cc0c2e07",
         "reach --help":
-            "63f393abfa83f3aa40879786b8e56ef0a0ed75070cb497a397e7a9893ae649a9",
+            "2e24e2538abfad876ba3caa4f1008a118189828436dffe690425b51f31a8db76",
         "distributed --help":
-            "10c289485882194cd5131d2652bce1f0ddec974c36e6bea3d1a7633129251f74",
+            "6aadace5ee5a5a36e2528a36c5a7cf70d7d66d95d97e04e3a19dbc501539df03",
         "pure-m --help":
-            "0c05427b5ee2c2b5d37a1cca5933b1b542df947e79583b3bc4497737fe1407d4",
+            "ea74575cd94379d46bf37ef18434ba458a0201fa3eecd37edc09b9afd8a02767",
         "unfold --help":
-            "f5a300611d153b2ca79222547b805067dcb63cf46a6a55fb9812190f27d48003",
+            "69a3e230ca5550c84ac25b74d3ae12207b7c131d37ba2638dddc013f5b1252ee",
         "pomsets --help":
-            "a05a45f118e5c42a0a39536f8244b9ba4ea2aed43ee5b9635ff9ae5dbca0fed4",
+            "a362376d3efb7917fe4291bc21c984ae566955654ab06d1d1e40a2ff3f1d5377",
         "compare --help":
-            "4634c82404f03cfdd1fd97d8425f1711fcdfdf604a55df738c9383b44e5375bc",
+            "540f8ee6aeeb73a4d76d957582d57c22c6d812547bb29aba4f8da742eb665dcb",
         "deadlock --help":
-            "a6fc479c226d607a0886202786a59e1ee77ac9ac242f356974e91f003ca156e6",
+            "9dba27c2017644d64f3691a142c107dda488816d0df05a92833524a3c91d7b47",
         "refine --help":
-            "830e35992f88cd5d1f90f85775b41343c72acd5884d7bea029765c423791eb93",
+            "345dd5ba0c3c13e77e04449d16a8ae31ad5d184cc180d45fca88f7f822121886",
         "example --help":
-            "db4b187c5369feb2cb0229f57fc481731b57e9755a729b9114e358ad9117fd55",
+            "86191725bed16da57b199065df762e324de4cfaf70911d115a168194068c7077",
         "validate no/such/file.net":
             "24bf5dd1014dea4cbd4bee4a50f367a0ddaf4b9c3ad6b7ea9b0b832734b7b833",
         "distributed @ --format xml":

@@ -147,11 +147,9 @@ class TestExploreReachable:
 
     def test_every_enabled_step_becomes_an_edge(self):
         graph = cn.explore_reachable(fig2(), dependency=False)
-        start = graph.index[frozenset({"p", "q"})]
+        start = graph.nodes.index(frozenset({"p", "q"}))
         steps = {e.step for e in graph.edges if e.source == start}
-        assert steps == {
-            frozenset({"a"}), frozenset({"b"}), frozenset({"c"}), frozenset({"a", "c"})
-        }
+        assert steps == {("a",), ("b",), ("c",), ("a", "c")}
         assert len(graph.edges) == 4  # the empty marking has no successors
 
     def test_enabled_steps_accepts_plain_markings(self):
@@ -204,7 +202,7 @@ class TestCycleDependency:
             found = cn.check_cycle_dependency(net, graph)
             edges = {(e.source, e.target): set() for e in graph.edges}
             for e in graph.edges:
-                edges[e.source, e.target] |= e.step
+                edges[e.source, e.target].update(e.step)
             for v in found:
                 assert len(set(v.cycle)) == len(v.cycle)
                 hops = list(zip(v.cycle, v.cycle[1:] + v.cycle[:1]))
@@ -215,6 +213,25 @@ class TestCycleDependency:
             } == brute_force_cycle_violations(net, graph)
             violating += bool(found)
         assert violating >= 10
+
+    def test_effect_once_per_node_and_transition(self, monkeypatch):
+        # Four independent visible self-loops: 16 dependency markings, each
+        # enabling all four transitions in 15 steps, so 240 step edges.
+        ps, ts = ["p0", "p1", "p2", "p3"], ["a", "b", "c", "d"]
+        net = cn.make_net(ps, ts, list(zip(ps, ts)) + list(zip(ts, ps)), ps,
+                          {t: t for t in ts})
+        graph = cn.explore_reachable(net, dependency=True)
+        assert (len(graph.nodes), len(graph.edges)) == (16, 240)
+        calls = []
+        effect = cn.semantics._effect
+
+        def counted(net, at, t):
+            calls.append((frozenset(at.values()), t))
+            return effect(net, at, t)
+
+        monkeypatch.setattr(cn.semantics, "_effect", counted)
+        assert cn.check_cycle_dependency(net, graph) == []
+        assert len(calls) == len(set(calls)) <= 16 * 4
 
     def test_exact_past_ten_thousand_simple_cycles(self):
         # Nodes 0..7 form a complete digraph with 13,699 simple cycles
@@ -229,15 +246,15 @@ class TestCycleDependency:
         )
         nodes = [dm(("p", "".join(deps))) for n in range(4) for deps in combinations("abc", n)]
         nodes += [dm(("p", ""), ("q", "")), dm(("p", "a"), ("q", "b"))]
-        u = frozenset({"u"})
+        u = ("u",)
         edges = [cn.ReachEdge(i, u, ("tau",), j) for i in range(8) for j in range(8) if i != j]
         edges += [
-            cn.ReachEdge(8, frozenset({"a", "b"}), ("a", "b"), 9),
-            cn.ReachEdge(9, frozenset({"u", "v"}), ("tau", "tau"), 8),
+            cn.ReachEdge(8, ("a", "b"), ("a", "b"), 9),
+            cn.ReachEdge(9, ("u", "v"), ("tau", "tau"), 8),
         ]
         graph = cn.ReachGraph(
             dependency=True, nodes=nodes, edges=edges, state_bound=cn.state_bound(net),
-            limit_exceeded=False, index={m: i for i, m in enumerate(nodes)},
+            limit_exceeded=False,
         )
         assert cn.check_cycle_dependency(net, graph) == [
             cn.CycleViolation((8, 9), "a"), cn.CycleViolation((8, 9), "b")
