@@ -38,7 +38,7 @@ class TruncatedGraphError(NetError):
 
 
 class LimitExceededError(NetError):
-    """Raised when exploration hits its state limit."""
+    """Raised at exploration's state limit or ``enumerate_processes``' ``process_limit``."""
 
 
 def _as_step(net: LabelledNet, step: Iterable[str]) -> frozenset[str]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .model import TAU, LabelledNet, NetError, UnknownElementError, _enabled
+from .model import TAU, LabelledNet, NetError, UnknownElementError
 from .semantics import LimitExceededError
 
 
@@ -138,10 +138,6 @@ class Process:
             self._key = frozenset(self.prefix.name(e) for e in _bits(self.config))
         return self._key
 
-    def end_marking(self) -> frozenset[str]:
-        """The original-net marking at the end of the process."""
-        return frozenset(self.end)
-
     def __repr__(self):
         return (f"Process(events={self.event_count}, "
                 f"visible={self.visible_count}, end={sorted(self.end)})")
@@ -208,14 +204,15 @@ def extend_process(net: LabelledNet, process: Process, t: str) -> Process | None
 
 
 def is_maximal(net: LabelledNet, process: Process) -> bool:
-    """True when the folded end marking enables no transition of the net."""
-    marking = process.end_marking()
-    return not any(_enabled(net, marking, t) for t in net.transitions)
+    """True when the process end covers no transition's preset; a firing
+    that would put a second token on a place still counts as covered."""
+    return not any(net._preset[t] <= process.end.keys() for t in net.transitions)
 
 
 @dataclass(frozen=True)
 class ProcessEntry:
-    """An enumerated process with its quiescence and cutoff flags."""
+    """An enumerated process; ``maximal`` is ``is_maximal`` (at the bound too)
+    and ``saturated`` says the event limit cut an extension within the bound."""
 
     process: Process
     maximal: bool
@@ -256,13 +253,15 @@ def enumerate_processes(
     entries: list[ProcessEntry] = []
     while queue:
         process = queue.popleft()
-        saturated = False
+        saturated = covered = False
         for t in order:
             if net.labelling[t] != TAU and process.visible_count >= visible_bound:
+                covered = covered or net._preset[t] <= process.end.keys()
                 continue
             e = _extension(process, t)
             if e is None:
                 continue
+            covered = True
             if process.event_count + 1 > event_limit:
                 saturated = True
                 continue
@@ -273,7 +272,7 @@ def enumerate_processes(
                 raise LimitExceededError(f"more than {process_limit} distinct processes")
             seen.add(config)
             queue.append(_extend(process, e))
-        entries.append(ProcessEntry(process, is_maximal(net, process), saturated))
+        entries.append(ProcessEntry(process, not covered, saturated))
     return entries
 
 

@@ -34,3 +34,8 @@ def test_report_layouts_left_the_library():
 def test_reach_graph_has_no_index():
     # nodes are looked up with graph.nodes.index; no second dict is kept
     assert "index" not in {f.name for f in fields(cn.ReachGraph)}
+
+
+def test_process_has_no_end_marking():
+    # the end marking is the keys of ``Process.end``; maximality reads them
+    assert not hasattr(cn.Process, "end_marking")

@@ -1,15 +1,19 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import hashlib
+import random
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from causalnets.cli import _COMMANDS, main
-from causalnets.model import make_net, serialize_net
+from causalnets.model import check_contact_free, make_net, serialize_net
 from causalnets.transforms import BUILTIN_NAMES
+
+from helpers import random_net
 
 ROOT = Path(__file__).resolve().parent.parent
 NETS = ROOT / "src" / "causalnets" / "nets"
@@ -411,6 +415,33 @@ class TestUsage:
         assert code == 0 and "deadlock:" not in out
         code, out, _ = run(capsys, "deadlock", net("deadlocking"))
         assert code == 1 and "deadlock:" in out
+
+
+class TestStateLimits:
+    COMMANDS = (
+        ["validate"], ["reach"], ["reach", "--dependency"], ["distributed"], ["pure-m"],
+        ["deadlock"],
+    )
+    LIMITS = (["--limit", "1"], ["--limit", "2"], ["--limit", "3"], [])
+
+    def test_tiny_limits_exit_cleanly(self, capsys, tmp_path):
+        # every exception must be turned into an exit code inside main
+        rng = random.Random(31)
+        codes = Counter()
+        contact = 0
+        for i in range(16):
+            drawn = random_net(rng, max_places=5, max_transitions=5, tau_prob=0.5)
+            contact += not check_contact_free(drawn, 10**4).ok
+            path = tmp_path / f"draw{i}.net"
+            path.write_text(serialize_net(drawn))
+            for command, *flags in self.COMMANDS:
+                for limit in self.LIMITS:
+                    for fmt in ("human", "tsv"):
+                        argv = [command, str(path), *flags, *limit, "--format", fmt]
+                        code, *_ = run(capsys, *argv)
+                        assert code in (0, 1, 2), argv
+                        codes[code] += 1
+        assert contact > 0 and set(codes) == {0, 1, 2}
 
 
 def digest(runs):

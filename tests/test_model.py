@@ -244,3 +244,22 @@ def test_preset_postset_duality(net):
 def test_net_end_matches_arc_scan(net):
     expected = {s for s in net.places if not any(src == s for src, _ in net.flow)}
     assert net_end(net) == expected
+
+
+# words of the net format, and separators that str.splitlines breaks on or
+# that the parser's tokenizer treats as whitespace
+PARSE_PIECES = (
+    "place", "trans", "arc", "p", "q", "t", "a", "tau", "x-y", "\xe9", "->", ":", "*", "#",
+    " ", "  ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x85", "\u2028",
+)
+
+
+@given(st.lists(st.one_of(st.sampled_from(PARSE_PIECES), st.text(max_size=3)), max_size=40))
+@settings(max_examples=250, deadline=None)
+def test_parse_raises_only_parse_errors(pieces):
+    try:
+        net = cn.parse_net("".join(pieces))
+    except NetParseError as exc:
+        assert exc.line >= 1 and exc.column >= 1
+    else:
+        assert isinstance(net, cn.LabelledNet)

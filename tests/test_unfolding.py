@@ -24,6 +24,7 @@ from helpers import (
     producer,
     random_contact_free_nets,
     random_lpo,
+    random_net,
     random_tractable_nets,
     shuffled_copy,
     validate_occurrence_net,
@@ -97,6 +98,18 @@ class TestContact:
             cn.enumerate_processes(net, 2)
         with pytest.raises(cn.NetError):
             cn.bounded_observation(net, 2)
+
+    def test_contact_at_the_bound_is_not_maximal(self):
+        # after t the end covers u's preset; u would put a second token on r,
+        # but at k=1 it is not fired, so the process is partial, not complete
+        net = self.contact_net()
+        after_t = process_of_run(net, ["t"])
+        assert not cn.is_maximal(net, after_t)
+        assert [e.maximal for e in cn.enumerate_processes(net, 1)
+                if e.process.key == after_t.key] == [False]
+        observation = cn.bounded_observation(net, 1)
+        assert observation.complete == frozenset()
+        assert observation.partial == {pomset("a", [])}
 
     def test_self_loop_is_not_contact(self):
         net = cn.make_net(
@@ -229,7 +242,7 @@ class TestRunCorrespondence:
                 t = fold(process)[event]
                 assert plain_enabled(net, m, (t,))
                 m = plain_fire(net, m, (t,))
-            assert m == process.end_marking()
+            assert m == frozenset(process.end)
 
 
 def _library_processes(net, k, event_limit):
@@ -292,6 +305,26 @@ class TestAgainstBruteForce:
         assert 0 < diverging < len(nets)
         for net in nets:
             self.check(net, 3, 12)
+
+    def test_seeded_contact_nets(self):
+        # the library raises on contact within the bound and the oracle does
+        # not, so only the cases that enumerate can be compared
+        rng = random.Random(2024)
+        nets = [random_net(rng, max_places=5, max_transitions=5, tau_prob=0.5)
+                for _ in range(400)]
+        checked = 0
+        for net in nets:
+            if cn.check_contact_free(net, 10**4).ok:
+                continue
+            for k in (0, 1, 2):
+                try:
+                    entries = cn.enumerate_processes(net, k, 6)
+                except cn.NetError:
+                    continue
+                assert all(e.maximal == cn.is_maximal(net, e.process) for e in entries)
+                self.check(net, k, 6)
+                checked += 1
+        assert checked == 74
 
 
 class TestVisiblePomset:
