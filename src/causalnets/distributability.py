@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .model import DEFAULT_STATE_LIMIT, LabelledNet
-from .semantics import _independent, _interleavings, _shortest_path
+from .semantics import _independent, _shortest_path, explore_reachable
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def concurrency_relation(
     net: LabelledNet, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> ConcurrencyRelation:
     """Compute which transition pairs some reachable marking fires together."""
-    graph = _interleavings(net, state_limit)
+    graph = explore_reachable(net, False, state_limit, steps=False)
     enabled: list[list[str]] = [[] for _ in graph.nodes]
     for e in graph.edges:  # one edge per enabled transition
         enabled[e.source].extend(e.step)
@@ -165,7 +165,7 @@ def find_pure_m(net: LabelledNet, state_limit: int = DEFAULT_STATE_LIMIT) -> lis
     Each witness marking is the first covering marking in the interleaving
     BFS order (sorted transitions), so one with a shortest firing sequence.
     """
-    markings = _interleavings(net, state_limit).nodes
+    markings = explore_reachable(net, False, state_limit, steps=False).nodes
     order = sorted(net.transitions)
     out: list[PureMWitness] = []
     for middle in order:

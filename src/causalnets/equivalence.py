@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import DEFAULT_STATE_LIMIT, TAU, LabelledNet
-from .semantics import _interleavings
+from .semantics import explore_reachable
 from .unfolding import Pomset, enumerate_processes, visible_pomsets
 
 
@@ -118,7 +118,7 @@ def find_local_deadlock(
     disabling steps; losing an action to a visible alternative is ordinary
     conflict resolution, not a deadlock.
     """
-    graph = _interleavings(net, state_limit)
+    graph = explore_reachable(net, False, state_limit, steps=False)
     n = len(graph.nodes)
     predecessors: list[list[int]] = [[] for _ in range(n)]
     enabled_labels: list[set[str]] = [set() for _ in range(n)]

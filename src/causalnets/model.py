@@ -12,7 +12,6 @@ existence; a set of such tokens is a dependency marking.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -41,6 +40,16 @@ class NetParseError(NetError):
 
 class UnknownElementError(NetError):
     """Raised when an operation references an id absent from the net."""
+
+
+class ContactError(NetError):
+    """Raised when firing ``transition`` at the plain ``marking`` would put
+    a second token on ``place``: the net is not 1-safe there."""
+
+    def __init__(self, transition: str, place: str, marking: frozenset[str]):
+        super().__init__(f"contact: transition {transition} puts a second token on place {place}")
+        self.transition = transition
+        self.marking = marking
 
 
 @dataclass(frozen=True)
@@ -328,26 +337,15 @@ def check_contact_free(net: LabelledNet, state_limit: int = DEFAULT_STATE_LIMIT)
     """Search the plain reachable markings for a contact situation.
 
     A violation is a reachable marking covering some transition's preset
-    while already marking one of its pure postset places.  Exploration uses
-    the firing rule that refuses such steps, so the first hit is reported.
+    while already marking one of its pure postset places.  The interleaving
+    search of ``explore_reachable(steps=False)`` stops at the first one, or
+    at the first marking past ``state_limit``, in BFS order.
     """
-    if state_limit < 1:
-        raise ValueError("state_limit must be at least 1")
-    order = sorted(net.transitions)
-    seen = {net.initial_marking}
-    queue = deque([net.initial_marking])
-    while queue:
-        m = queue.popleft()
-        for t in order:
-            pre = net._preset[t]
-            if not pre <= m:
-                continue
-            if not _enabled(net, m, t):
-                return ContactVerdict("violation", marking=m, transition=t)
-            m2 = (m - pre) | net._postset[t]
-            if m2 not in seen:
-                if len(seen) >= state_limit:
-                    return ContactVerdict("limit_exceeded")
-                seen.add(m2)
-                queue.append(m2)
+    from .semantics import LimitExceededError, explore_reachable  # semantics imports this module
+    try:
+        explore_reachable(net, False, state_limit, steps=False)
+    except ContactError as exc:
+        return ContactVerdict("violation", marking=exc.marking, transition=exc.transition)
+    except LimitExceededError:
+        return ContactVerdict("limit_exceeded")
     return ContactVerdict("contact_free")

@@ -12,11 +12,12 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .model import (
     DEFAULT_STATE_LIMIT,
     TAU,
+    ContactError,
     DepToken,
     DependencyMarking,
     LabelledNet,
@@ -168,11 +169,11 @@ def state_bound(net: LabelledNet) -> int:
     return (2 ** len(net.visible_labels) + 1) ** len(net.places)
 
 
-@dataclass(frozen=True, slots=True)
-class ReachEdge:
+class ReachEdge(NamedTuple):
+    """Firing ``step``, its transitions as a sorted tuple, leads from ``source`` to ``target``."""
+
     source: int
     step: tuple[str, ...]
-    labels: tuple[str, ...]
     target: int
 
 
@@ -184,8 +185,8 @@ class ReachGraph:
     ``dependency=False``.  Built with ``steps=True`` the edges record every
     enabled step, so the graph also carries the step-concurrency
     information; built with ``steps=False`` they record the interleavings:
-    one edge per enabled transition.  An edge's step is the sorted tuple of
-    its transitions.
+    one edge per enabled transition.  ``labelling`` is the net's, read for
+    the labels of an edge's step.
     """
 
     dependency: bool
@@ -193,6 +194,7 @@ class ReachGraph:
     edges: list[ReachEdge]
     state_bound: int
     limit_exceeded: bool
+    labelling: Mapping[str, str]
 
     @property
     def root(self):
@@ -204,14 +206,15 @@ class ReachGraph:
 
     def fields(self) -> tuple[list[str], list[tuple[int, str, str, int]]]:
         """The node bodies by index and the edges as (source, step ids,
-        labels, target) in output order, as ``to_text`` and the CLI's TSV
-        rows print them."""
+        sorted labels, target) in output order, as ``to_text`` and the CLI's
+        TSV rows print them."""
         if self.dependency:
             bodies = [node.text() for node in self.nodes]
         else:
             bodies = [" ; ".join(sorted(node)) for node in self.nodes]
-        rows = sorted((e.source, e.target, e.step, e.labels) for e in self.edges)
-        return bodies, [(s, ",".join(ids), ",".join(labs), t) for s, t, ids, labs in rows]
+        rows = sorted((e.source, e.target, e.step) for e in self.edges)
+        return bodies, [(i, ",".join(g), ",".join(sorted(self.labelling[t] for t in g)), j)
+                        for i, j, g in rows]
 
     def to_text(self) -> str:
         bodies, edges = self.fields()
@@ -228,19 +231,21 @@ def explore_reachable(
 ) -> ReachGraph:
     """Build the reachability graph from the initial (dependency) marking.
 
-    With ``steps`` every enabled step becomes an edge: up to 2^n - 1 edges
-    at a node enabling n independent transitions.  Without it only the
-    singleton steps do, taken in sorted transition order; every step can be
-    fired as an interleaving of its members, so the same nodes are reached,
-    numbered in the interleaving BFS order.
+    With ``steps`` every step ``fire_step`` accepts becomes an edge: up to
+    2^n - 1 edges at a node enabling n independent transitions.  Once
+    ``state_limit`` nodes exist, edges into new nodes are dropped and the
+    partial graph is returned with ``limit_exceeded`` set.
 
-    Exploration stops once ``state_limit`` nodes exist; the partial graph is
-    returned with ``limit_exceeded`` set, and edges into undiscovered nodes
-    are dropped.
+    Without ``steps`` this is the interleaving search: each transition whose
+    preset a node covers, in sorted order, is a singleton-step edge; every
+    step fires as an interleaving of its members, so the same nodes are
+    reached, in BFS order.  It stops with ContactError at the first
+    transition in contact, or with LimitExceededError at the first node past
+    ``state_limit``.
     """
     if state_limit < 1:
         raise ValueError("state_limit must be at least 1")
-    pre, post, label = net._preset, net._postset, net.labelling
+    pre, post = net._preset, net._postset
     root = initial_dependency_marking(net) if dependency else net.initial_marking
     nodes = [root]
     # Successors are looked up by their token set; a DependencyMarking, and
@@ -249,19 +254,20 @@ def explore_reachable(
     edges: list[ReachEdge] = []
     limit_exceeded = False
 
-    def add_edge(i: int, g: tuple[str, ...], labels: tuple[str, ...], after: frozenset):
+    def add_edge(i: int, g: tuple[str, ...], after: frozenset):
         nonlocal limit_exceeded
         j = seen.get(after)
         if j is None:
             if len(nodes) >= state_limit:
+                if not steps:
+                    raise LimitExceededError(f"more than {state_limit} reachable markings")
                 limit_exceeded = True
                 return
             j = seen[after] = len(nodes)
             nodes.append(DependencyMarking(after) if dependency else after)
-        edges.append(ReachEdge(i, g, labels, j))
+        edges.append(ReachEdge(i, g, j))
 
     order = sorted(net.transitions)
-    single = {t: ((t,), (label[t],)) for t in order}
     # The transitions after t in sorted order that are independent of t;
     # independence depends on the net alone.
     later = {
@@ -276,49 +282,42 @@ def explore_reachable(
 
     # The steps at node i, as sorted tuples in lexicographic order, recorded
     # one at a time rather than collected first: loops(12) has 4095 at a node.
-    def grow(i: int, members: list[str], labels: list[str], before: frozenset,
-             candidates: list[str]):
+    def grow(i: int, members: list[str], before: frozenset, candidates: list[str]):
         for k, t in enumerate(candidates):
             took, put = effect[t]
             after = (before - took) | put
             members.append(t)
-            labels.append(label[t])
-            add_edge(i, tuple(members), tuple(sorted(labels)), after)
+            add_edge(i, tuple(members), after)
             independent = later[t]
-            grow(i, members, labels, after, [u for u in candidates[k + 1:] if u in independent])
+            grow(i, members, after, [u for u in candidates[k + 1:] if u in independent])
             members.pop()
-            labels.pop()
 
     for i, m in enumerate(nodes):  # the BFS queue: nodes are appended in discovery order
         places = m.places if dependency else m
         tokens = m.tokens if dependency else m
-        enabled = [t for t in order if _enabled(net, places, t)]
+        enabled = [t for t in order if pre[t] <= places]  # without steps, contact raises below
+        if steps:
+            enabled = [t for t in enabled if _enabled(net, places, t)]
         if dependency:
             at = {tok.place: tok for tok in tokens}
             for t in enabled:
                 effect[t] = _effect(net, at, t)
         if steps:
-            grow(i, [], [], tokens, enabled)
-        else:
-            for t in enabled:
-                took, put = effect[t]
-                add_edge(i, *single[t], (tokens - took) | put)
+            grow(i, [], tokens, enabled)
+            continue
+        for t in enabled:
+            if contact := (places - pre[t]) & post[t]:
+                raise ContactError(t, min(contact), places)
+            took, put = effect[t]
+            add_edge(i, (t,), (tokens - took) | put)
     return ReachGraph(
         dependency=dependency,
         nodes=nodes,
         edges=edges,
         state_bound=state_bound(net),
         limit_exceeded=limit_exceeded,
+        labelling=net.labelling,
     )
-
-
-def _interleavings(net: LabelledNet, state_limit: int) -> ReachGraph:
-    """The complete interleaving graph of plain markings, or
-    LimitExceededError when it has more than ``state_limit`` nodes."""
-    graph = explore_reachable(net, dependency=False, state_limit=state_limit, steps=False)
-    if graph.limit_exceeded:
-        raise LimitExceededError(f"more than {state_limit} reachable markings")
-    return graph
 
 
 # --- cycle dependency property ----------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .model import TAU, LabelledNet, NetError, UnknownElementError
+from .model import TAU, ContactError, LabelledNet, UnknownElementError
 from .semantics import LimitExceededError
 
 
@@ -154,7 +154,7 @@ def _extension(process: Process, t: str) -> int | None:
     """The prefix event of one more ``t`` at the process end, added to the
     prefix if new, or None when the end cannot supply ``t``'s preset.
 
-    Raises NetError when ``t`` would put a second token on a place."""
+    Raises ContactError when ``t`` would put a second token on a place."""
     prefix = process.prefix
     pre, _, pure_post, _ = prefix.moves[t]
     end = process.end
@@ -166,7 +166,7 @@ def _extension(process: Process, t: str) -> int | None:
         chosen.append(c)
     for place in pure_post:
         if place in end:
-            raise NetError(f"contact: transition {t} puts a second token on place {place}")
+            raise ContactError(t, place, frozenset(end))
     if chosen:
         key = (t, tuple(chosen))
     else:
@@ -195,7 +195,7 @@ def _extend(process: Process, e: int) -> Process:
 def extend_process(net: LabelledNet, process: Process, t: str) -> Process | None:
     """Replay one firing of ``t`` at the end of the process, if possible.
 
-    ``net`` is the net the process was grown from.  Raises NetError when
+    ``net`` is the net the process was grown from.  Raises ContactError when
     the firing would put a second token on a place (the net has contact)."""
     if t not in net.transitions:
         raise UnknownElementError(f"unknown transition {t!r}")
@@ -238,7 +238,7 @@ def enumerate_processes(
     ``process_limit``, when given, aborts with LimitExceededError once the
     closure grows past that many distinct processes; nets whose invisible
     transitions chain through shared places can have exponentially many.
-    Raises NetError when a firing would put a second token on a place.
+    Raises ContactError when a firing would put a second token on a place.
     """
     if visible_bound < 0:
         raise ValueError("visible_bound must be nonnegative")

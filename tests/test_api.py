@@ -4,7 +4,7 @@ from collections import Counter
 from dataclasses import fields
 
 import causalnets as cn
-from causalnets import distributability, equivalence, model, unfolding
+from causalnets import distributability, equivalence, model, semantics, unfolding
 
 # Names the tests keep in helpers.py; no program, demo or benchmark uses them.
 TEST_ONLY = (
@@ -39,3 +39,17 @@ def test_reach_graph_has_no_index():
 def test_process_has_no_end_marking():
     # the end marking is the keys of ``Process.end``; maximality reads them
     assert not hasattr(cn.Process, "end_marking")
+
+
+def test_contact_error_is_public():
+    assert "ContactError" in cn.__all__ and issubclass(cn.ContactError, cn.NetError)
+
+
+def test_reach_edge_keeps_only_source_step_target():
+    # an edge's labels are read through ReachGraph.labelling
+    assert cn.ReachEdge._fields == ("source", "step", "target")
+
+
+def test_one_interleaving_search():
+    # the verdicts call explore_reachable(steps=False) directly
+    assert not hasattr(semantics, "_interleavings")

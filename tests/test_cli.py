@@ -295,6 +295,35 @@ class TestUnfoldAndPomsets:
             assert "transition t" in err and "place r" in err
 
 
+class TestContact:
+    # t would put a second token on q: validate names the contact, every
+    # other verdict refuses the net, and reach shows fire_step's token game
+    NET = ("place p *\nplace q *\nplace r *\ntrans t : a\ntrans u : b\n"
+           "arc p -> t\narc t -> q\narc r -> u\n")
+    VALIDATE = {
+        "human": "CONTACT VIOLATION: transition t at marking {p,q,r}\n",
+        "tsv": "violation\tt\tp,q,r\n",
+    }
+    REACH = {
+        "human": "mode: plain\nnodes: 2\nbound: 125\nbound respected: yes\n"
+                 "node 0: p ; q ; r\nnode 1: p ; q\nedge 0 -[u|{b}]-> 1\n",
+        "tsv": "mode\tplain\nnodes\t2\nbound\t125\nbound-respected\tyes\n"
+               "node\t0\tp ; q ; r\nnode\t1\tp ; q\nedge\t0\tu\tb\t1\n",
+    }
+    REFUSAL = "error: contact: transition t puts a second token on place q\n"
+
+    def test_every_subcommand_agrees(self, capsys, tmp_path):
+        path = tmp_path / "contact.net"
+        path.write_text(self.NET)
+        for fmt in ("human", "tsv"):
+            assert run(capsys, "validate", str(path), "--format", fmt) == (1, self.VALIDATE[fmt], "")
+            for command, *flags in (["distributed"], ["pure-m"], ["deadlock"],
+                                    ["unfold", "-k", "1"], ["pomsets", "-k", "1"]):
+                argv = [command, str(path), *flags, "--format", fmt]
+                assert run(capsys, *argv) == (2, "", self.REFUSAL), argv
+            assert run(capsys, "reach", str(path), "--format", fmt) == (0, self.REACH[fmt], "")
+
+
 class TestCompare:
     def test_equivalent_exit_zero(self, capsys):
         code, out, _ = run(

@@ -1,5 +1,7 @@
 """Concurrency relation, distributability verdicts, pure-M detection."""
 
+import pytest
+
 import causalnets as cn
 
 from helpers import (
@@ -112,8 +114,30 @@ class TestFindPureM:
         assert found_some >= 2  # the corpus covers the non-vacuous case
 
     def test_witness_marking_is_first_in_interleaving_order(self):
-        # Both {p0,p1,p2,p4} and {p0,p1,p2,p3,p4} cover the presets of
-        # (t4, t2, t5); the latter is reached by a shorter firing sequence.
+        # Both {p0,p1,p2} and {p0,p2} cover the presets of (t0, t1, t3);
+        # the former is reached by a shorter firing sequence.
+        net = cn.parse_net(
+            "place p0 *\nplace p1 *\nplace p2 *\ntrans t0\ntrans t1\ntrans t2\ntrans t3\n"
+            + "".join(f"arc {a} -> {b}\n" for a, b in (
+                ("p0", "t0"), ("p0", "t1"), ("p1", "t2"), ("p2", "t1"), ("p2", "t2"),
+                ("p2", "t3"), ("t2", "p2"), ("t3", "p2"),
+            ))
+        )
+        assert cn.check_contact_free(net).ok
+        reachable = set(cn.explore_reachable(net, dependency=False).nodes)
+        assert frozenset({"p0", "p2"}) in reachable
+        witnesses = cn.find_pure_m(net)
+        for w in witnesses:
+            assert w.marking in reachable
+            assert cn.preset(net, w.left) | cn.preset(net, w.middle) | cn.preset(net, w.right) <= w.marking
+        assert [(w.left, w.middle, w.right, w.marking) for w in witnesses] == [
+            ("t0", "t1", "t2", frozenset({"p0", "p1", "p2"})),
+            ("t0", "t1", "t3", frozenset({"p0", "p1", "p2"})),
+        ]
+
+    def test_contact_is_refused_at_the_first_contact(self):
+        # {p0,p1,p2,p3,p4} covers the presets of (t4, t2, t5), but t2 would
+        # put a second token on p3 there.
         net = cn.parse_net(
             "place p0 *\nplace p1\nplace p2 *\nplace p3 *\nplace p4\nplace p5 *\n"
             "trans t0 : b\ntrans t1 : a\ntrans t2\ntrans t3\ntrans t4 : a\ntrans t5 : b\n"
@@ -124,12 +148,8 @@ class TestFindPureM:
                 ("t4", "p0"), ("t4", "p4"), ("t5", "p1"), ("t5", "p4"),
             ))
         )
-        reachable = set(cn.explore_reachable(net, dependency=False).nodes)
-        witnesses = cn.find_pure_m(net)
-        for w in witnesses:
-            assert w.marking in reachable
-            assert cn.preset(net, w.left) | cn.preset(net, w.middle) | cn.preset(net, w.right) <= w.marking
-        assert [(w.left, w.middle, w.right, w.marking) for w in witnesses] == [
-            ("t0", "t3", "t1", frozenset({"p0", "p2", "p3", "p5"})),
-            ("t4", "t2", "t5", frozenset({"p0", "p1", "p2", "p3", "p4"})),
-        ]
+        with pytest.raises(cn.ContactError) as refusal:
+            cn.find_pure_m(net)
+        assert str(refusal.value) == "contact: transition t2 puts a second token on place p3"
+        assert (refusal.value.transition, refusal.value.marking) == (
+            "t2", frozenset({"p0", "p1", "p2", "p3", "p4"}))

@@ -182,7 +182,7 @@ class TestLocalDeadlock:
 
         rng = random.Random(1)
         compared = 0
-        for _ in range(2000):  # few draws offer a choice; these take ~0.3 s
+        for _ in range(10_000):  # few contact-free draws offer a choice; ~2 s
             net = random_net(rng, max_places=6, max_transitions=8, tau_prob=0.5)
             order = sorted(net.transitions)
             moves = {}  # marking -> [(t, successor)] over the enabled transitions
@@ -199,6 +199,11 @@ class TestLocalDeadlock:
                             found[m2] = trace
                 least.update(found)
                 level = sorted(found, key=found.get)
+            if any(net._preset[t] <= m and not plain_enabled(net, m, (t,))
+                   for m in moves for t in order):  # a reachable contact
+                with pytest.raises(cn.ContactError):
+                    cn.find_local_deadlock(net)
+                continue
             for w in cn.find_local_deadlock(net):
                 candidates = [
                     least[m] + (t,)
@@ -216,9 +221,14 @@ def test_live_labels_match_per_node_search():
     import random
 
     rng = random.Random(1108)
-    for _ in range(150):
+    checked = 0
+    while checked < 150:
         net = random_net(rng, max_places=6, max_transitions=6, tau_prob=0.5)
-        graph = cn.explore_reachable(net, dependency=False, steps=False)
+        try:
+            graph = cn.explore_reachable(net, dependency=False, steps=False)
+        except cn.ContactError:
+            continue
+        checked += 1
         successors = [[] for _ in graph.nodes]
         predecessors = [[] for _ in graph.nodes]
         enabled = [set() for _ in graph.nodes]

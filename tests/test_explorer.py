@@ -2,16 +2,18 @@
 
 The step graph must equal the one built by trying every subset of
 transitions with the oracle firing rule, node for node and edge for edge.
-The interleaving graph (``steps=False``) must reach exactly the markings of
-the step graph, carry exactly its singleton edges, cut off at the same
-state limits.  ``check_contact_free``, which now tests firings with the
-shared enabledness predicate, must still decide as the search written with
-its own inline firing rule.
+On a contact-free net the interleaving graph (``steps=False``) must reach
+exactly the markings of the step graph and carry exactly its singleton
+edges.  The interleaving search must stop where the contact search written
+with its own inline firing rule stops: at the first contact or the first
+marking past the limit.  ``check_contact_free``, a reading of that search,
+and the marking verdicts built on it must decide as that search does.
 """
 
 import random
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,11 +59,31 @@ def corpus():
 
 NETS = corpus()
 
+# t would put a second token on q; the blocking rule leaves t disabled
+ITEM10 = cn.parse_net(
+    "place p *\nplace q *\nplace r *\ntrans t : a\ntrans u : b\n"
+    "arc p -> t\narc t -> q\narc r -> u\n"
+)
+CONTACT_NETS = [net for net in NETS if not cn.check_contact_free(net).ok] + [ITEM10]
 
-def labelled_edges(graph):
+
+def labelled_edges(net, graph):
     return {
-        (graph.nodes[e.source], e.step, e.labels, graph.nodes[e.target]) for e in graph.edges
+        (graph.nodes[e.source], e.step, tuple(sorted(net.labelling[t] for t in e.step)),
+         graph.nodes[e.target])
+        for e in graph.edges
     }
+
+
+def interleaving_search(net, limit, dependency=False):
+    """The graph ``explore_reachable(steps=False)`` returns, or its refusal
+    as the ContactVerdict it stands for."""
+    try:
+        return cn.explore_reachable(net, dependency, limit, steps=False)
+    except cn.ContactError as exc:
+        return cn.ContactVerdict("violation", marking=exc.marking, transition=exc.transition)
+    except cn.LimitExceededError:
+        return cn.ContactVerdict("limit_exceeded")
 
 
 def test_corpus_has_both_kinds():
@@ -78,7 +100,9 @@ def test_step_graph_matches_brute_force():
                 graph = cn.explore_reachable(net, dependency=dependency, state_limit=limit)
                 assert [frozenset(tokens_of(m)) if dependency else m for m in graph.nodes] == nodes
                 assert [
-                    (e.source, frozenset(e.step), e.labels, e.target) for e in graph.edges
+                    (e.source, frozenset(e.step), tuple(sorted(net.labelling[t] for t in e.step)),
+                     e.target)
+                    for e in graph.edges
                 ] == edges
                 assert all(
                     type(e.step) is tuple and all(t < u for t, u in zip(e.step, e.step[1:]))
@@ -89,18 +113,26 @@ def test_step_graph_matches_brute_force():
 
 def test_same_nodes_and_singleton_edges():
     for net in NETS:
+        verdict = cn.check_contact_free(net)
         for dependency in (False, True):
             steps = cn.explore_reachable(net, dependency=dependency)
-            single = cn.explore_reachable(net, dependency=dependency, steps=False)
+            single = interleaving_search(net, 10**6, dependency)
+            if not verdict.ok:
+                assert single == verdict
+                continue
             assert single.nodes[0] == steps.nodes[0]
             assert set(single.nodes) == set(steps.nodes)
-            assert labelled_edges(single) == {
-                edge for edge in labelled_edges(steps) if len(edge[1]) == 1
+            assert labelled_edges(net, single) == {
+                edge for edge in labelled_edges(net, steps) if len(edge[1]) == 1
             }
 
 
 def test_interleaving_nodes_in_bfs_order():
     for net in NETS:
+        verdict = cn.check_contact_free(net)
+        if not verdict.ok:
+            assert interleaving_search(net, 10**6) == verdict
+            continue
         graph = cn.explore_reachable(net, dependency=False, steps=False)
         first_seen = [0]
         for e in graph.edges:
@@ -120,9 +152,41 @@ def test_limit_agrees_at_random_limits():
         reachable = len(cn.explore_reachable(net, dependency=False).nodes)
         for limit in {1, reachable, reachable + 1, rng.randint(1, reachable + 1)}:
             steps = cn.explore_reachable(net, dependency=False, state_limit=limit)
-            single = cn.explore_reachable(net, dependency=False, state_limit=limit, steps=False)
-            assert steps.limit_exceeded == single.limit_exceeded == (reachable > limit)
-            assert len(single.nodes) == min(limit, reachable)
+            single = interleaving_search(net, limit)
+            assert steps.limit_exceeded == (reachable > limit)
+            assert len(steps.nodes) == min(limit, reachable)
+            if not cn.check_contact_free(net).ok:
+                assert single == old_contact_search(net, limit)
+            elif reachable > limit:
+                assert single == cn.ContactVerdict("limit_exceeded")
+            else:
+                assert len(single.nodes) == reachable
+
+
+def test_interleaving_search_stops_where_old_search_does():
+    for net in NETS + [ITEM10]:
+        reachable = len(cn.explore_reachable(net, dependency=False).nodes)
+        for limit in range(1, reachable + 2):
+            old = old_contact_search(net, limit)
+            single = interleaving_search(net, limit)
+            if old.ok:
+                assert type(single) is cn.ReachGraph and len(single.nodes) == reachable
+            else:
+                assert single == old
+
+
+def test_marking_verdicts_refuse_contact():
+    verdicts = (cn.concurrency_relation, cn.check_distributed, cn.find_pure_m,
+                cn.find_local_deadlock)
+    assert len(CONTACT_NETS) > 10
+    for net in CONTACT_NETS:
+        violation = cn.check_contact_free(net)
+        assert violation.status == "violation"
+        for verdict in verdicts:
+            with pytest.raises(cn.ContactError) as refusal:
+                verdict(net)
+            assert (refusal.value.transition, refusal.value.marking) == (
+                violation.transition, violation.marking)
 
 
 def test_contact_verdict_matches_old_search():

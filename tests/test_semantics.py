@@ -247,14 +247,11 @@ class TestCycleDependency:
         nodes = [dm(("p", "".join(deps))) for n in range(4) for deps in combinations("abc", n)]
         nodes += [dm(("p", ""), ("q", "")), dm(("p", "a"), ("q", "b"))]
         u = ("u",)
-        edges = [cn.ReachEdge(i, u, ("tau",), j) for i in range(8) for j in range(8) if i != j]
-        edges += [
-            cn.ReachEdge(8, ("a", "b"), ("a", "b"), 9),
-            cn.ReachEdge(9, ("u", "v"), ("tau", "tau"), 8),
-        ]
+        edges = [cn.ReachEdge(i, u, j) for i in range(8) for j in range(8) if i != j]
+        edges += [cn.ReachEdge(8, ("a", "b"), 9), cn.ReachEdge(9, ("u", "v"), 8)]
         graph = cn.ReachGraph(
             dependency=True, nodes=nodes, edges=edges, state_bound=cn.state_bound(net),
-            limit_exceeded=False,
+            limit_exceeded=False, labelling=net.labelling,
         )
         assert cn.check_cycle_dependency(net, graph) == [
             cn.CycleViolation((8, 9), "a"), cn.CycleViolation((8, 9), "b")
