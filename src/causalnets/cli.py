@@ -32,9 +32,6 @@ def _write_or_print(text: str, out_path: str | None):
 def _cmd_validate(args) -> int:
     net = _load(args.file)
     verdict = model.check_contact_free(net, args.limit)
-    if verdict.status == "limit_exceeded":
-        print(f"state limit {args.limit} exceeded", file=sys.stderr)
-        return 2
     tsv = args.format == "tsv"
     if verdict.status == "violation":
         marked = ",".join(sorted(verdict.marking))
@@ -66,8 +63,7 @@ def _cmd_reach(args) -> int:
         print(f"bound respected: {yesno}")
         sys.stdout.write(graph.to_text())
     if graph.limit_exceeded:
-        print(f"state limit {args.limit} exceeded; graph is partial", file=sys.stderr)
-        return 2
+        raise semantics.LimitExceededError(f"state limit {args.limit} exceeded; graph is partial")
     return 0
 
 

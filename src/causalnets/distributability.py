@@ -10,14 +10,13 @@ places connects two concurrently firable transitions.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
 from .model import DEFAULT_STATE_LIMIT, LabelledNet
-from .semantics import _independent, _shortest_path, explore_reachable
+from .semantics import _bfs_tree, _independent, _path, explore_reachable
 
 
 @dataclass(frozen=True)
@@ -110,16 +109,8 @@ def _components(adjacency: dict[str, set[str]]) -> dict[str, str]:
     # Starts go in sorted order, so each component is named by its least member.
     component: dict[str, str] = {}
     for start in sorted(adjacency):
-        if start in component:
-            continue
-        component[start] = start
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adjacency[x]:
-                if y not in component:
-                    component[y] = start
-                    queue.append(y)
+        if start not in component:
+            component.update(dict.fromkeys(_bfs_tree(adjacency, start), start))
     return component
 
 
@@ -140,7 +131,7 @@ def check_distributed(
     for pair in sorted(conc.pairs, key=lambda p: tuple(sorted(p))):
         t, u = sorted(pair)
         if component[t] == component[u]:
-            return DistributabilityVerdict(chain=_shortest_path(adjacency, t, u))
+            return DistributabilityVerdict(chain=_path(_bfs_tree(adjacency, t), u))
 
     location_of: dict[str, str] = {}
     roots = sorted({component[t] for t in net.transitions})
@@ -166,15 +157,14 @@ def find_pure_m(net: LabelledNet, state_limit: int = DEFAULT_STATE_LIMIT) -> lis
     BFS order (sorted transitions), so one with a shortest firing sequence.
     """
     markings = explore_reachable(net, False, state_limit, steps=False).nodes
-    order = sorted(net.transitions)
+    # A pure M is an induced path left - middle - right in the sharing graph.
+    adjacency = _shared_preplace_graph(net)
     out: list[PureMWitness] = []
-    for middle in order:
-        pre_mid = net._preset[middle]
-        for left, right in combinations([t for t in order if t != middle], 2):
-            pre_left, pre_right = net._preset[left], net._preset[right]
-            if not (pre_left & pre_mid) or not (pre_mid & pre_right) or pre_left & pre_right:
+    for middle in sorted(adjacency):
+        for left, right in combinations(sorted(adjacency[middle]), 2):
+            if right in adjacency[left]:
                 continue
-            need = pre_left | pre_mid | pre_right
+            need = net._preset[left] | net._preset[middle] | net._preset[right]
             covering = next((m for m in markings if need <= m), None)
             if covering is not None:
                 out.append(PureMWitness(left, middle, right, covering))

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 TAU = "tau"
 
@@ -173,8 +173,7 @@ def _enabled(net: LabelledNet, places: frozenset[str], t: str) -> bool:
     return pre <= places and not (places - pre) & net._postset[t]
 
 
-@dataclass(frozen=True)
-class DepToken:
+class DepToken(NamedTuple):
     """A token on ``place`` together with the visible labels it depends on."""
 
     place: str
@@ -320,8 +319,8 @@ def serialize_net(net: LabelledNet) -> str:
 class ContactVerdict:
     """Outcome of the contact-freeness check.
 
-    ``status`` is one of ``contact_free``, ``violation`` (with the offending
-    reachable marking and transition), or ``limit_exceeded``.
+    ``status`` is ``contact_free`` or ``violation`` (with the offending
+    reachable marking and transition).
     """
 
     status: str
@@ -339,13 +338,12 @@ def check_contact_free(net: LabelledNet, state_limit: int = DEFAULT_STATE_LIMIT)
     A violation is a reachable marking covering some transition's preset
     while already marking one of its pure postset places.  The interleaving
     search of ``explore_reachable(steps=False)`` stops at the first one, or
-    at the first marking past ``state_limit``, in BFS order.
+    raises LimitExceededError at the first marking past ``state_limit``, in
+    BFS order.
     """
-    from .semantics import LimitExceededError, explore_reachable  # semantics imports this module
+    from .semantics import explore_reachable  # semantics imports this module
     try:
         explore_reachable(net, False, state_limit, steps=False)
     except ContactError as exc:
         return ContactVerdict("violation", marking=exc.marking, transition=exc.transition)
-    except LimitExceededError:
-        return ContactVerdict("limit_exceeded")
     return ContactVerdict("contact_free")

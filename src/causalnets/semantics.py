@@ -9,7 +9,7 @@ that transition consumed; the invisible label is never recorded.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar
@@ -34,12 +34,9 @@ class NotEnabledError(NetError):
     """Raised when firing a step that is not enabled."""
 
 
-class TruncatedGraphError(NetError):
-    """Raised when an analysis needs a complete graph but got a partial one."""
-
-
 class LimitExceededError(NetError):
-    """Raised at exploration's state limit or ``enumerate_processes``' ``process_limit``."""
+    """Raised when an analysis passes its state or process limit; the
+    message names the limit."""
 
 
 def _as_step(net: LabelledNet, step: Iterable[str]) -> frozenset[str]:
@@ -260,7 +257,7 @@ def explore_reachable(
         if j is None:
             if len(nodes) >= state_limit:
                 if not steps:
-                    raise LimitExceededError(f"more than {state_limit} reachable markings")
+                    raise LimitExceededError(f"state limit {state_limit} exceeded")
                 limit_exceeded = True
                 return
             j = seen[after] = len(nodes)
@@ -338,23 +335,27 @@ class CycleViolation:
     transition: str
 
 
-def _shortest_path(adjacency: Mapping[T, Iterable[T]], start: T, goal: T) -> tuple[T, ...] | None:
-    """A shortest path from ``start`` to ``goal``, both included, following
-    neighbours in sorted order; None when ``goal`` is unreachable."""
+def _bfs_tree(adjacency: Mapping[T, Iterable[T]], start: T) -> dict[T, T | None]:
+    """The breadth-first tree from ``start``, following neighbours in sorted
+    order: each node reachable from ``start`` mapped to its parent, and
+    ``start`` to None."""
     parent: dict = {start: None}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        if x == goal:
-            path = [x]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            return tuple(reversed(path))
+    queue = [start]
+    for x in queue:  # the BFS queue: nodes are appended in discovery order
         for y in sorted(adjacency.get(x, ())):
             if y not in parent:
                 parent[y] = x
                 queue.append(y)
-    return None
+    return parent
+
+
+def _path(tree: Mapping[T, T | None], goal: T) -> tuple[T, ...]:
+    """The path in ``tree`` from its root to ``goal``, both included: a
+    shortest one from the root."""
+    path = [goal]
+    while (x := tree[path[-1]]) is not None:
+        path.append(x)
+    return tuple(reversed(path))
 
 
 def check_cycle_dependency(net: LabelledNet, graph: ReachGraph) -> list[CycleViolation]:
@@ -364,28 +365,33 @@ def check_cycle_dependency(net: LabelledNet, graph: ReachGraph) -> list[CycleVio
     exactly the dependency set carried by each token it consumed.  The
     check is exact: an edge lies on a cycle exactly when its source is
     reachable from its target.  Each (node, transition) is tested once,
-    however many steps contain it, and only an edge with a violating
-    transition pays for one breadth-first search back to its source.  One
-    violation is reported per edge and transition; for 1-safe nets the
-    returned list is empty.
+    however many steps contain it, and each target of an edge with a
+    violating transition pays for one breadth-first search, whose tree
+    gives the path back to every such edge's source.  One violation is
+    reported per edge and transition; for 1-safe nets the returned list is
+    empty.  A partial graph raises LimitExceededError.
     """
     if not graph.dependency:
         raise ValueError("a dependency reach graph is required")
     if graph.limit_exceeded:
-        raise TruncatedGraphError("reach graph was truncated by its state limit")
+        raise LimitExceededError("state limit exceeded; the reach graph is partial")
     adjacency: dict[int, set[int]] = {}
     for e in graph.edges:
         adjacency.setdefault(e.source, set()).add(e.target)
-    violations: set[CycleViolation] = set()
     flagged: dict[tuple[int, str], bool] = {}  # (node, transition) -> violates
+    bad: dict[int, set[tuple[int, str]]] = {}  # target -> (source, violating transition)
     for e in graph.edges:
         for t in e.step:
             if (e.source, t) not in flagged:
                 at = {tok.place: tok for tok in graph.nodes[e.source].tokens}
                 took, put = _effect(net, at, t)
                 flagged[e.source, t] = any(a.deps != b.deps for a in took for b in put)
-        bad = [t for t in e.step if flagged[e.source, t]]
-        if bad and (back := _shortest_path(adjacency, e.target, e.source)) is not None:
-            violations.update(CycleViolation((e.source, *back[:-1]), t) for t in bad)
+            if flagged[e.source, t]:
+                bad.setdefault(e.target, set()).add((e.source, t))
+    violations = []
+    for target, firings in bad.items():
+        tree = _bfs_tree(adjacency, target)
+        violations += [CycleViolation((source, *_path(tree, source)[:-1]), t)
+                       for source, t in firings if source in tree]
     return sorted(violations, key=lambda v: (v.cycle, v.transition))
 

@@ -269,7 +269,7 @@ def enumerate_processes(
             if config in seen:
                 continue
             if process_limit is not None and len(seen) >= process_limit:
-                raise LimitExceededError(f"more than {process_limit} distinct processes")
+                raise LimitExceededError(f"process limit {process_limit} exceeded")
             seen.add(config)
             queue.append(_extend(process, e))
         entries.append(ProcessEntry(process, not covered, saturated))

@@ -53,3 +53,14 @@ def test_reach_edge_keeps_only_source_step_target():
 def test_one_interleaving_search():
     # the verdicts call explore_reachable(steps=False) directly
     assert not hasattr(semantics, "_interleavings")
+
+
+def test_dep_token_is_a_named_tuple():
+    # equality and hashing are tuple operations, as for ReachEdge
+    assert cn.DepToken._fields == ("place", "deps")
+
+
+def test_one_limit_error():
+    # every state or process limit raises LimitExceededError
+    assert not hasattr(cn, "TruncatedGraphError") and "TruncatedGraphError" not in cn.__all__
+    assert not hasattr(semantics, "TruncatedGraphError")

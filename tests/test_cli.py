@@ -472,6 +472,29 @@ class TestStateLimits:
                         codes[code] += 1
         assert contact > 0 and set(codes) == {0, 1, 2}
 
+    # SHA-256 of the partial graph reach prints before it refuses, by
+    # (format, dependency)
+    PARTIAL_REACH = {
+        ("human", False): "a2bb848bba3e0009bed3c04e0ea23e2aa0098e41d357dd487300f0f77e4ccaa0",
+        ("human", True): "b1552d78c1f515d0bd843636a90be609431b3668d35d05e64808c3aa04faa044",
+        ("tsv", False): "19f636acdd57918710cce1c550817eb07e88183143b93522d59feaca63167f5c",
+        ("tsv", True): "b898305eae3b5dc781fff82e17df28b14c7eec0fa4a9fd4b73a3a1728715650c",
+    }
+
+    def test_refusal_names_the_limit(self, capsys):
+        path = net("repeated_pure_m")
+        for fmt in ("human", "tsv"):
+            for command in ("validate", "distributed", "pure-m", "deadlock"):
+                argv = [command, path, "--limit", "1", "--format", fmt]
+                assert run(capsys, *argv) == (2, "", "error: state limit 1 exceeded\n"), argv
+            for dependency in (False, True):
+                flags = ["--dependency"] if dependency else []
+                argv = ["reach", path, *flags, "--limit", "1", "--format", fmt]
+                code, out, err = run(capsys, *argv)
+                assert (code, err) == (2, "error: state limit 1 exceeded; graph is partial\n")
+                assert hashlib.sha256(out.encode()).hexdigest() == (
+                    self.PARTIAL_REACH[fmt, dependency]), argv
+
 
 def digest(runs):
     return hashlib.sha256(repr(runs).encode()).hexdigest()

@@ -47,6 +47,15 @@ def old_contact_search(net, state_limit):
     return cn.ContactVerdict("contact_free")
 
 
+def contact_verdict(net, state_limit):
+    """``check_contact_free``, with its LimitExceededError read as the
+    ContactVerdict ``old_contact_search`` returns for it."""
+    try:
+        return cn.check_contact_free(net, state_limit)
+    except cn.LimitExceededError:
+        return cn.ContactVerdict("limit_exceeded")
+
+
 def corpus():
     rng = random.Random(4471)
     drawn = [random_net(rng, max_places=5, max_transitions=5, tau_prob=0.5) for _ in range(40)]
@@ -193,7 +202,7 @@ def test_contact_verdict_matches_old_search():
     for net in NETS:
         reachable = len(cn.explore_reachable(net, dependency=False).nodes)
         for limit in range(1, reachable + 2):
-            assert cn.check_contact_free(net, limit) == old_contact_search(net, limit)
+            assert contact_verdict(net, limit) == old_contact_search(net, limit)
 
 
 def test_violation_before_limit_takes_precedence():
@@ -204,7 +213,8 @@ def test_violation_before_limit_takes_precedence():
         flow=[("p", "t0"), ("t0", "q"), ("p", "t1"), ("t1", "r")],
         initial_marking=["p", "r"],
     )
-    assert cn.check_contact_free(net, 1).status == "limit_exceeded"
+    with pytest.raises(cn.LimitExceededError, match=r"^state limit 1 exceeded$"):
+        cn.check_contact_free(net, 1)
     assert cn.check_contact_free(net, 2).status == "violation"
     renamed = cn.make_net(
         places=["p", "q", "r"], transitions=["t1", "t0"],
@@ -215,11 +225,11 @@ def test_violation_before_limit_takes_precedence():
     assert (verdict.status, verdict.transition) == ("violation", "t0")
     for n in (net, renamed):
         for limit in (1, 2, 3):
-            assert cn.check_contact_free(n, limit) == old_contact_search(n, limit)
+            assert contact_verdict(n, limit) == old_contact_search(n, limit)
 
 
 @given(st.integers(0, 10**6), st.integers(1, 40))
 @settings(max_examples=40, deadline=None)
 def test_contact_verdict_matches_old_search_on_draws(seed, limit):
     net = random_net(random.Random(seed), max_places=6, max_transitions=6, tau_prob=0.5)
-    assert cn.check_contact_free(net, limit) == old_contact_search(net, limit)
+    assert contact_verdict(net, limit) == old_contact_search(net, limit)

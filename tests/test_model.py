@@ -184,7 +184,8 @@ class TestContactFree:
         assert cn.check_contact_free(cn.builtin("centralised")).ok
 
     def test_limit(self):
-        assert cn.check_contact_free(fig2(), state_limit=1).status == "limit_exceeded"
+        with pytest.raises(cn.LimitExceededError, match=r"^state limit 1 exceeded$"):
+            cn.check_contact_free(fig2(), state_limit=1)
         with pytest.raises(ValueError):
             cn.check_contact_free(fig2(), state_limit=0)
 

@@ -1,7 +1,8 @@
 """Dependency-step execution, reachability graphs, cycle dependency checks."""
 
 import random
-from itertools import combinations
+from collections import deque
+from itertools import combinations, product
 
 import pytest
 
@@ -25,6 +26,40 @@ from helpers import (
     random_net,
     tokens_of,
 )
+
+
+def per_edge_cycle_search(net, graph):
+    """``check_cycle_dependency`` as it was written with one breadth-first
+    search per edge with a violating transition, from the edge's target and
+    stopping at its source."""
+    adjacency = {}
+    for e in graph.edges:
+        adjacency.setdefault(e.source, set()).add(e.target)
+
+    def shortest_path(start, goal):
+        parent = {start: None}
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            if x == goal:
+                path = [x]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return tuple(reversed(path))
+            for y in sorted(adjacency.get(x, ())):
+                if y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+        return None
+
+    violations = set()
+    for e in graph.edges:
+        at = {tok.place: tok for tok in graph.nodes[e.source].tokens}
+        bad = [t for t in e.step
+               if any(a.deps != b.deps for a, b in product(*cn.semantics._effect(net, at, t)))]
+        if bad and (back := shortest_path(e.target, e.source)) is not None:
+            violations.update(cn.CycleViolation((e.source, *back[:-1]), t) for t in bad)
+    return sorted(violations, key=lambda v: (v.cycle, v.transition))
 
 
 def fig2():
@@ -177,7 +212,7 @@ class TestCycleDependency:
 
     def test_truncated_graph_rejected(self):
         graph = cn.explore_reachable(fig2(), dependency=True, state_limit=2)
-        with pytest.raises(cn.TruncatedGraphError):
+        with pytest.raises(cn.LimitExceededError, match="partial"):
             cn.check_cycle_dependency(fig2(), graph)
 
     def test_plain_graph_rejected(self):
@@ -232,6 +267,39 @@ class TestCycleDependency:
         monkeypatch.setattr(cn.semantics, "_effect", counted)
         assert cn.check_cycle_dependency(net, graph) == []
         assert len(calls) == len(set(calls)) <= 16 * 4
+
+    def test_witnesses_match_per_edge_search(self):
+        # the draws of test_matches_uncapped_oracle_on_random_nets, whose
+        # oracle checks only each witness's first hop
+        rng = random.Random(2)
+        longer = 0
+        for _ in range(3000):
+            net = random_net(rng)
+            graph = cn.explore_reachable(net, dependency=True, state_limit=10**4)
+            found = cn.check_cycle_dependency(net, graph)
+            assert found == per_edge_cycle_search(net, graph)
+            longer += any(len(v.cycle) > 2 for v in found)
+        assert longer >= 5
+
+    def test_one_search_per_target(self, monkeypatch):
+        # Four visible one-shot transitions: every firing is flagged, since
+        # its token gains its label, and none lies on a cycle; 65 step edges
+        # lead to 15 distinct targets.
+        ps, qs, ts = (["p0", "p1", "p2", "p3"], ["q0", "q1", "q2", "q3"], ["a", "b", "c", "d"])
+        net = cn.make_net(ps + qs, ts, list(zip(ps, ts)) + list(zip(ts, qs)), ps,
+                          {t: t for t in ts})
+        graph = cn.explore_reachable(net, dependency=True)
+        assert (len(graph.nodes), len(graph.edges)) == (16, 65)
+        starts = []
+        bfs_tree = cn.semantics._bfs_tree
+
+        def counted(adjacency, start):
+            starts.append(start)
+            return bfs_tree(adjacency, start)
+
+        monkeypatch.setattr(cn.semantics, "_bfs_tree", counted)
+        assert cn.check_cycle_dependency(net, graph) == []
+        assert sorted(starts) == sorted({e.target for e in graph.edges})
 
     def test_exact_past_ten_thousand_simple_cycles(self):
         # Nodes 0..7 form a complete digraph with 13,699 simple cycles
