@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Sequence
 
 from .model import TAU, ContactError, LabelledNet, UnknownElementError
 from .semantics import LimitExceededError
@@ -246,6 +245,8 @@ def enumerate_processes(
         event_limit = default_event_limit(visible_bound)
     if event_limit < 0:
         raise ValueError("event_limit must be nonnegative")
+    if process_limit is not None and process_limit < 1:
+        raise ValueError("process_limit must be at least 1")
     order = sorted(net.transitions)
     start = initial_process(net)
     seen = {0}
@@ -279,40 +280,13 @@ def enumerate_processes(
 # --- labelled partial orders and pomsets -------------------------------------
 
 
-@dataclass(frozen=True)
-class LPO:
-    """A labelled partial order given by its strict, transitively closed
-    precedence pairs."""
-
-    vertices: tuple
-    labels: Mapping
-    below: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
-        vs = set(self.vertices)
-        if set(self.labels) != vs:
-            raise ValueError("labels must cover exactly the vertices")
-        succ: dict = {v: set() for v in vs}
-        for u, v in self.below:
-            if u not in vs or v not in vs:
-                raise ValueError("order pair outside the vertex set")
-            if u == v:
-                raise ValueError("strict order must be irreflexive")
-            succ[u].add(v)
-        for u in vs:
-            for v in succ[u]:
-                if not succ[v] <= succ[u]:
-                    raise ValueError("order must be transitively closed")
-
-
 @dataclass(frozen=True, order=True)
 class Pomset:
-    """Canonical form of an LPO's isomorphism class.
+    """Canonical form of a labelled partial order's isomorphism class.
 
     ``labels`` lists the event labels in canonical numbering; ``order``
-    holds the strict precedences as index pairs.  Two LPOs canonicalise to
-    equal Pomset values exactly when they are label- and order-isomorphic.
+    holds the strict precedences as index pairs.  Two orders canonicalise
+    to equal Pomset values exactly when they are label- and order-isomorphic.
     """
 
     labels: tuple[str, ...]
@@ -335,8 +309,12 @@ class Pomset:
         ) + "\n"
 
 
-def canonicalize(o: LPO) -> Pomset:
+def canonicalize(labels: Sequence[str], order: Iterable[tuple[int, int]]) -> Pomset:
     """Exact canonical form by colour refinement with individualisation.
+
+    Vertex ``i`` has label ``labels[i]``; ``order`` holds the strict,
+    transitively closed precedence pairs ``(u, v)`` of vertex indices, the
+    form a Pomset prints.  Raises ValueError when it is not such an order.
 
     Vertices are iteratively partitioned by label, in/out degree, and
     neighbour colours; remaining symmetric vertices are broken by trying
@@ -344,17 +322,18 @@ def canonicalize(o: LPO) -> Pomset:
     resulting encoding.  Vertices with identical neighbourhoods are
     interchangeable and tried once.
     """
-    verts = list(o.vertices)
-    n = len(verts)
-    if n == 0:
-        return Pomset((), ())
-    index = {v: i for i, v in enumerate(verts)}
-    labels = [o.labels[v] for v in verts]
+    n = len(labels)
     pred: list[set[int]] = [set() for _ in range(n)]
     succ: list[set[int]] = [set() for _ in range(n)]
-    for u, v in o.below:
-        pred[index[v]].add(index[u])
-        succ[index[u]].add(index[v])
+    for u, v in order:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise ValueError(f"order pair ({u}, {v}) must be two distinct indices below {n}")
+        pred[v].add(u)
+        succ[u].add(v)
+    for v in range(n):
+        for u in pred[v]:
+            if not pred[u] <= pred[v]:
+                raise ValueError("order must be transitively closed and acyclic")
 
     # longest-chain depth leads the initial colouring, so the canonical
     # numbering is always a linear extension of the order
@@ -419,10 +398,11 @@ def canonicalize(o: LPO) -> Pomset:
 def visible_pomset(process: Process) -> Pomset:
     """The causal order between the process's visible events, canonicalised."""
     prefix = process.prefix
-    visible = tuple(_bits(process.config & prefix.visible))
-    below = frozenset((u, v) for v in visible for u in _bits(prefix.vpast[v]))
-    labels = {e: prefix.net.labelling[prefix.trans[e]] for e in visible}
-    return canonicalize(LPO(visible, labels, below))
+    visible = list(_bits(process.config & prefix.visible))
+    index = {e: i for i, e in enumerate(visible)}
+    labels = [prefix.net.labelling[prefix.trans[e]] for e in visible]
+    order = [(index[u], i) for i, e in enumerate(visible) for u in _bits(prefix.vpast[e])]
+    return canonicalize(labels, order)
 
 
 def visible_pomsets(processes: Iterable[Process]) -> list[Pomset]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 import causalnets as cn
 from causalnets.model import DepToken, DependencyMarking
@@ -82,10 +83,27 @@ def net_end(net: cn.LabelledNet) -> frozenset[str]:
     return frozenset(s for s in net.places if not _post(net, s))
 
 
-# --- brute-force LPO isomorphism ---------------------------------------------
+# --- brute-force isomorphism of labelled partial orders ----------------------
 
 
-def brute_force_iso(o1: cn.LPO, o2: cn.LPO) -> bool:
+class NamedOrder(NamedTuple):
+    """A labelled partial order on named vertices: ``labels`` maps each
+    vertex to its label, ``below`` holds the strict, transitively closed
+    precedence pairs.  Not validated; ``cn.canonicalize`` checks the order."""
+
+    vertices: tuple
+    labels: dict
+    below: frozenset
+
+
+def canonical(o: NamedOrder) -> cn.Pomset:
+    """``cn.canonicalize`` of ``o``, its vertices numbered in listed order."""
+    vertices, labels, below = o
+    index = {v: i for i, v in enumerate(vertices)}
+    return cn.canonicalize([labels[v] for v in vertices], [(index[u], index[v]) for u, v in below])
+
+
+def brute_force_iso(o1: NamedOrder, o2: NamedOrder) -> bool:
     if len(o1.vertices) != len(o2.vertices):
         return False
     by_label1: dict = {}
@@ -111,7 +129,7 @@ def brute_force_iso(o1: cn.LPO, o2: cn.LPO) -> bool:
     return False
 
 
-def random_lpo(rng: random.Random, max_n=8, labels=("a", "b", "c")) -> cn.LPO:
+def random_lpo(rng: random.Random, max_n=8, labels=("a", "b", "c")) -> NamedOrder:
     n = rng.randint(0, max_n)
     verts = tuple(f"v{i}" for i in range(n))
     labs = {v: rng.choice(labels) for v in verts}
@@ -128,14 +146,14 @@ def random_lpo(rng: random.Random, max_n=8, labels=("a", "b", "c")) -> cn.LPO:
                 if v == x and (u, y) not in below:
                     below.add((u, y))
                     changed = True
-    return cn.LPO(verts, labs, frozenset(below))
+    return NamedOrder(verts, labs, frozenset(below))
 
 
-def shuffled_copy(rng: random.Random, o: cn.LPO) -> cn.LPO:
+def shuffled_copy(rng: random.Random, o: NamedOrder) -> NamedOrder:
     names = [f"w{i}" for i in range(len(o.vertices))]
     rng.shuffle(names)
     phi = dict(zip(o.vertices, names))
-    return cn.LPO(
+    return NamedOrder(
         tuple(sorted(names)),
         {phi[v]: o.labels[v] for v in o.vertices},
         frozenset((phi[u], phi[v]) for (u, v) in o.below),
@@ -313,7 +331,7 @@ def brute_force_processes(net: cn.LabelledNet, k: int, event_limit: int) -> list
     Returns, per process, its event and visible counts, ``maximal`` (no
     transition enabled at the end), ``saturated`` (an extension within the
     visible bound was cut by ``event_limit``), the sorted transitions, and
-    the visible LPO as ``(vertices, labels, below)``.
+    the visible order as ``(vertices, labels, below)``.
     """
     pre = {t: _pre(net, t) for t in net.transitions}
     post = {t: _post(net, t) for t in net.transitions}
@@ -616,8 +634,8 @@ def process_of_run(net: cn.LabelledNet, transitions) -> cn.Process:
     return process
 
 
-def lpo_from(labels, order) -> cn.LPO:
-    """LPO from explicit labels and index pairs, closed transitively."""
+def lpo_from(labels, order) -> NamedOrder:
+    """A NamedOrder from explicit labels and index pairs, closed transitively."""
     verts = tuple(f"x{i}" for i in range(len(labels)))
     closed = set((verts[u], verts[v]) for u, v in order)
     changed = True
@@ -628,12 +646,12 @@ def lpo_from(labels, order) -> cn.LPO:
                 if v == x and (u, y) not in closed:
                     closed.add((u, y))
                     changed = True
-    return cn.LPO(verts, dict(zip(verts, labels)), frozenset(closed))
+    return NamedOrder(verts, dict(zip(verts, labels)), frozenset(closed))
 
 
 def pomset(labels, order) -> cn.Pomset:
     """Canonical pomset from explicit labels and index pairs."""
-    return cn.canonicalize(lpo_from(labels, order))
+    return canonical(lpo_from(labels, order))
 
 
 def ac_ordered_pairs(p: cn.Pomset):

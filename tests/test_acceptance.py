@@ -22,6 +22,7 @@ from helpers import (
     assert_valid_chain,
     assert_valid_distribution,
     brute_force_iso,
+    canonical,
     marking_of,
     oracle_fire,
     oracle_step_enabled,
@@ -236,7 +237,7 @@ def check_oracle_equivalence():
     for i in range(500):
         first = random_lpo(rng, max_n=8)
         second = shuffled_copy(rng, first) if i % 2 == 0 else random_lpo(rng, max_n=8)
-        same = cn.canonicalize(first) == cn.canonicalize(second)
+        same = canonical(first) == canonical(second)
         assert same == brute_force_iso(first, second)
         if same:
             iso_seen += 1

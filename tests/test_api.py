@@ -64,3 +64,9 @@ def test_one_limit_error():
     # every state or process limit raises LimitExceededError
     assert not hasattr(cn, "TruncatedGraphError") and "TruncatedGraphError" not in cn.__all__
     assert not hasattr(semantics, "TruncatedGraphError")
+
+
+def test_one_order_form():
+    # canonicalize takes the index form a Pomset prints; no vertex-named class
+    assert not hasattr(cn, "LPO") and "LPO" not in cn.__all__
+    assert not hasattr(unfolding, "LPO")

@@ -50,3 +50,28 @@ def test_marking_verdicts_explore_once(capsys):
     finally:
         tracer.uninstall()
     capsys.readouterr()
+
+
+def test_pomset_layer_is_traced(capsys):
+    # visible_pomset reaches canonicalize through the module global, once
+    # per distinct set of visible events among the processes a command shows
+    def distinct_visible_sets(entries):
+        return len({e.process.config & e.process.prefix.visible for e in entries})
+
+    expected = {}
+    for name in cn.BUILTIN_NAMES:
+        entries = cn.enumerate_processes(cn.builtin(name), 3)
+        expected[name, "unfold"] = distinct_visible_sets(entries)
+        expected[name, "pomsets"] = distinct_visible_sets(
+            [e for e in entries if e.maximal or e.process.visible_count == 3])
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        for (name, command), calls in expected.items():
+            before = tracer.counts["unfolding.canonicalize.calls"]
+            assert main([command, str(NETS / f"{name}.net"), "-k", "3"]) == 0
+            assert tracer.counts["unfolding.canonicalize.calls"] - before == calls, (name, command)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert all(expected.values())

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 import causalnets as cn
 
 from helpers import (
+    NamedOrder,
     brute_force_iso,
     brute_force_processes,
+    canonical,
     conditions,
     event_trans,
     events,
@@ -181,6 +183,18 @@ class TestEnumerateProcesses:
         (entry,) = cn.enumerate_processes(fig2(), 2, event_limit=0)
         assert entry.saturated and entry.process.event_count == 0
 
+    def test_process_limit_must_be_positive(self):
+        idle = cn.make_net(places=["p"], initial_marking=["p"])
+        chain = cn.make_net(places=["p", "q"], transitions=["t"], flow=[("p", "t"), ("t", "q")],
+                            initial_marking=["p"])
+        for net in (idle, chain):
+            for limit in (0, -1):
+                with pytest.raises(ValueError, match="process_limit must be at least 1"):
+                    cn.enumerate_processes(net, 1, process_limit=limit)
+        assert len(cn.enumerate_processes(idle, 1, process_limit=1)) == 1
+        with pytest.raises(cn.LimitExceededError, match="process limit 1 exceeded"):
+            cn.enumerate_processes(chain, 1, process_limit=1)
+
     def test_all_enumerated_processes_valid(self):
         for net in (fig2(), cn.builtin("centralised"), cn.builtin("deadlocking")):
             for e in cn.enumerate_processes(net, 2):
@@ -254,7 +268,7 @@ def _library_processes(net, k, event_limit):
 
 
 def _oracle_pomset(process):
-    return cn.canonicalize(cn.LPO(*process["lpo"]))
+    return canonical(process["lpo"])
 
 
 def _oracle_processes(processes):
@@ -355,14 +369,14 @@ class TestVisiblePomset:
 
 class TestCanonicalize:
     def test_renamed_copies_equal(self):
-        o1 = cn.LPO(("x", "y"), {"x": "a", "y": "b"}, frozenset({("x", "y")}))
-        o2 = cn.LPO(("u", "v"), {"v": "a", "u": "b"}, frozenset({("v", "u")}))
-        assert cn.canonicalize(o1) == cn.canonicalize(o2)
+        o1 = NamedOrder(("x", "y"), {"x": "a", "y": "b"}, frozenset({("x", "y")}))
+        o2 = NamedOrder(("u", "v"), {"v": "a", "u": "b"}, frozenset({("v", "u")}))
+        assert canonical(o1) == canonical(o2)
 
     def test_order_differs(self):
-        chain = cn.LPO(("x", "y"), {"x": "a", "y": "b"}, frozenset({("x", "y")}))
-        anti = cn.LPO(("x", "y"), {"x": "a", "y": "b"}, frozenset())
-        assert cn.canonicalize(chain) != cn.canonicalize(anti)
+        chain = NamedOrder(("x", "y"), {"x": "a", "y": "b"}, frozenset({("x", "y")}))
+        anti = NamedOrder(("x", "y"), {"x": "a", "y": "b"}, frozenset())
+        assert canonical(chain) != canonical(anti)
 
     def test_text_block(self):
         p = pomset("acb", [(0, 2), (1, 2)])
@@ -375,36 +389,48 @@ class TestCanonicalize:
         assert down != up
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            cn.LPO(("x",), {"x": "a"}, frozenset({("x", "x")}))
-        with pytest.raises(ValueError):  # not transitively closed
-            cn.LPO(
-                ("x", "y", "z"),
-                {"x": "a", "y": "a", "z": "a"},
-                frozenset({("x", "y"), ("y", "z")}),
-            )
+        for labels, order in (
+            ("a", [(0, 0)]),  # reflexive
+            ("ab", [(0, 2)]),  # index past the last vertex
+            ("ab", [(-1, 0)]),  # negative index
+            ("aa", [(0, 1), (1, 0)]),  # a 2-cycle
+            ("aaa", [(0, 1), (1, 2)]),  # not transitively closed
+        ):
+            with pytest.raises(ValueError):
+                cn.canonicalize(labels, order)
+
+    def test_canonical_form_is_a_fixed_point(self):
+        shown = []
+        for name in cn.BUILTIN_NAMES:
+            for k in range(5):
+                entries = cn.enumerate_processes(cn.builtin(name), k)
+                shown += cn.visible_pomsets(e.process for e in entries)
+        rng = random.Random(1618)
+        drawn = [canonical(random_lpo(rng)) for _ in range(500)]
+        for p in shown + drawn:
+            assert cn.canonicalize(p.labels, p.order) == p
 
     def test_heavily_symmetric_orders(self):
         import random
 
         rng = random.Random(5)
         anti = lpo_from("aaaaaaaa", [])
-        assert cn.canonicalize(anti) == cn.canonicalize(shuffled_copy(rng, anti))
+        assert canonical(anti) == canonical(shuffled_copy(rng, anti))
         # crown: top i above every bottom except i, all labels equal
         crown = lpo_from(
             "aaaaaaaa", [(t, 4 + b) for t in range(4) for b in range(4) if t != b]
         )
         shuffled = shuffled_copy(rng, crown)
-        assert cn.canonicalize(crown) == cn.canonicalize(shuffled)
+        assert canonical(crown) == canonical(shuffled)
         assert brute_force_iso(crown, shuffled)
         complete = lpo_from(
             "aaaaaaaa", [(t, 4 + b) for t in range(4) for b in range(4)]
         )
-        assert cn.canonicalize(crown) != cn.canonicalize(complete)
+        assert canonical(crown) != canonical(complete)
         assert not brute_force_iso(crown, complete)
         two_chains = lpo_from("aaaa", [(0, 1), (2, 3)])
         one_chain = lpo_from("aaaa", [(0, 1), (1, 2)])
-        assert cn.canonicalize(two_chains) != cn.canonicalize(one_chain)
+        assert canonical(two_chains) != canonical(one_chain)
 
     def test_matches_brute_force_on_seeded_corpus(self):
         rng = random.Random(2718)
@@ -412,7 +438,7 @@ class TestCanonicalize:
         for i in range(160):
             o1 = random_lpo(rng, max_n=6)
             o2 = shuffled_copy(rng, o1) if i % 2 == 0 else random_lpo(rng, max_n=6)
-            same = cn.canonicalize(o1) == cn.canonicalize(o2)
+            same = canonical(o1) == canonical(o2)
             assert same == brute_force_iso(o1, o2)
             agreements[same] += 1
         assert agreements[True] >= 40 and agreements[False] >= 40
@@ -436,19 +462,19 @@ def lpos(draw):
                 if v == x and (u, y) not in below:
                     below.add((u, y))
                     changed = True
-    return cn.LPO(verts, labels, frozenset(below))
+    return NamedOrder(verts, labels, frozenset(below))
 
 
 @given(lpos(), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_canonical_form_is_invariant_under_renaming(o, rng):
-    assert cn.canonicalize(o) == cn.canonicalize(shuffled_copy(rng, o))
+    assert canonical(o) == canonical(shuffled_copy(rng, o))
 
 
 @given(lpos(), lpos())
 @settings(max_examples=80, deadline=None)
 def test_canonical_equality_is_isomorphism(o1, o2):
-    assert (cn.canonicalize(o1) == cn.canonicalize(o2)) == brute_force_iso(o1, o2)
+    assert (canonical(o1) == canonical(o2)) == brute_force_iso(o1, o2)
 
 
 def test_refinement_preserves_pomsets_everywhere():
