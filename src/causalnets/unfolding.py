@@ -323,27 +323,41 @@ def canonicalize(labels: Sequence[str], order: Iterable[tuple[int, int]]) -> Pom
     interchangeable and tried once.
     """
     n = len(labels)
-    pred: list[set[int]] = [set() for _ in range(n)]
-    succ: list[set[int]] = [set() for _ in range(n)]
+    order = list(order)
+    below = [0] * n  # below[v]: mask of the u with (u, v) in order
+    above = [0] * n
     for u, v in order:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"order pair ({u}, {v}) must be two distinct indices below {n}")
-        pred[v].add(u)
-        succ[u].add(v)
-    for v in range(n):
-        for u in pred[v]:
-            if not pred[u] <= pred[v]:
-                raise ValueError("order must be transitively closed and acyclic")
-
-    # longest-chain depth leads the initial colouring, so the canonical
-    # numbering is always a linear extension of the order
-    depth = [0] * n
-    for i in sorted(range(n), key=lambda i: len(pred[i])):
-        depth[i] = 1 + max((depth[j] for j in pred[i]), default=-1)
+        below[v] |= 1 << u
+        above[u] |= 1 << v
+    for u, v in order:
+        if below[u] & ~below[v]:
+            raise ValueError("order must be transitively closed and acyclic")
 
     def dense(keys: list) -> list[int]:
         rank = {k: r for r, k in enumerate(sorted(set(keys)))}
         return [rank[k] for k in keys]
+
+    # longest-chain depth leads the initial colouring, so the canonical
+    # numbering is always a linear extension of the order; every pair into
+    # u comes from a vertex of lower in-degree, so depth[u] is final first
+    indeg = [m.bit_count() for m in below]
+    depth = [0] * n
+    for u, v in sorted(order, key=lambda pair: indeg[pair[0]]):
+        if depth[u] >= depth[v]:
+            depth[v] = depth[u] + 1
+    initial = dense([(depth[i], labels[i], indeg[i], above[i].bit_count()) for i in range(n)])
+    if len(set(initial)) == n:
+        # a discrete colouring is a fixed point of refine and has no class
+        # to split, so its encoding is the canonical form
+        return Pomset(labels=tuple(labels[i] for i in sorted(range(n), key=initial.__getitem__)),
+                      order=tuple(sorted({(initial[u], initial[v]) for u, v in order})))
+    pred: list[set[int]] = [set() for _ in range(n)]
+    succ: list[set[int]] = [set() for _ in range(n)]
+    for u, v in order:
+        pred[v].add(u)
+        succ[u].add(v)
 
     def refine(colors: list[int]) -> list[int]:
         while True:
@@ -382,7 +396,7 @@ def canonicalize(labels: Sequence[str], order: Iterable[tuple[int, int]]) -> Pom
             return
         tried = set()
         for v in target:
-            twin = (frozenset(pred[v]), frozenset(succ[v]))
+            twin = (below[v], above[v])
             if twin in tried:
                 continue
             tried.add(twin)
@@ -390,31 +404,52 @@ def canonicalize(labels: Sequence[str], order: Iterable[tuple[int, int]]) -> Pom
             branch[v] = n
             search(branch)
 
-    search(dense([(depth[i], labels[i], len(pred[i]), len(succ[i])) for i in range(n)]))
+    search(initial)
     labs, pairs = best
     return Pomset(labels=labs, order=pairs)
+
+
+def _index_form(prefix: _Prefix, visible: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The labels of the events in the visible-event mask ``visible``, in
+    ascending prefix order, and per index the mask of the indices before it."""
+    events = list(_bits(visible))
+    bit = {e: 1 << i for i, e in enumerate(events)}
+    below = []
+    for e in events:
+        mask = 0
+        for u in _bits(prefix.vpast[e]):
+            mask |= bit[u]
+        below.append(mask)
+    return tuple(prefix.net.labelling[prefix.trans[e]] for e in events), tuple(below)
+
+
+def _canonical(labels: tuple[str, ...], below: tuple[int, ...]) -> Pomset:
+    # through the module global, so a wrapper installed on it sees each call
+    return canonicalize(labels, [(u, v) for v, mask in enumerate(below) for u in _bits(mask)])
 
 
 def visible_pomset(process: Process) -> Pomset:
     """The causal order between the process's visible events, canonicalised."""
     prefix = process.prefix
-    visible = list(_bits(process.config & prefix.visible))
-    index = {e: i for i, e in enumerate(visible)}
-    labels = [prefix.net.labelling[prefix.trans[e]] for e in visible]
-    order = [(index[u], i) for i, e in enumerate(visible) for u in _bits(prefix.vpast[e])]
-    return canonicalize(labels, order)
+    return _canonical(*_index_form(prefix, process.config & prefix.visible))
 
 
 def visible_pomsets(processes: Iterable[Process]) -> list[Pomset]:
-    """``visible_pomset`` of each process, computed once per distinct set of
-    visible prefix events: the prefix fixes the order between its events,
-    so configurations with the same visible events have the same pomset."""
+    """``visible_pomset`` of each process, canonicalised once per distinct
+    index form; a discrete initial colouring skips refinement.  The prefix
+    fixes the order between its events, so configurations with the same
+    visible events share one index form, built once."""
     done: dict[tuple[_Prefix, int], Pomset] = {}
+    forms: dict[tuple, Pomset] = {}
     pomsets = []
     for process in processes:
         key = (process.prefix, process.config & process.prefix.visible)
         pomset = done.get(key)
         if pomset is None:
-            pomset = done[key] = visible_pomset(process)
+            form = _index_form(*key)
+            pomset = forms.get(form)
+            if pomset is None:
+                pomset = forms[form] = _canonical(*form)
+            done[key] = pomset
         pomsets.append(pomset)
     return pomsets

@@ -53,16 +53,27 @@ def test_marking_verdicts_explore_once(capsys):
 
 
 def test_pomset_layer_is_traced(capsys):
-    # visible_pomset reaches canonicalize through the module global, once
-    # per distinct set of visible events among the processes a command shows
-    def distinct_visible_sets(entries):
-        return len({e.process.config & e.process.prefix.visible for e in entries})
+    # visible_pomsets reaches canonicalize through the module global, once
+    # per distinct index form among the processes a command shows: the
+    # labels of the visible events in ascending prefix order and the order
+    # pairs between their indices
+    def index_form(process):
+        prefix = process.prefix
+        visible = [e for e in range(len(prefix.trans)) if (process.config & prefix.visible) >> e & 1]
+        index = {e: i for i, e in enumerate(visible)}
+        labels = tuple(prefix.net.labelling[prefix.trans[e]] for e in visible)
+        pairs = frozenset((index[u], index[v]) for v in visible for u in visible
+                          if prefix.vpast[v] >> u & 1)
+        return labels, pairs
+
+    def distinct_index_forms(entries):
+        return len({index_form(e.process) for e in entries})
 
     expected = {}
     for name in cn.BUILTIN_NAMES:
         entries = cn.enumerate_processes(cn.builtin(name), 3)
-        expected[name, "unfold"] = distinct_visible_sets(entries)
-        expected[name, "pomsets"] = distinct_visible_sets(
+        expected[name, "unfold"] = distinct_index_forms(entries)
+        expected[name, "pomsets"] = distinct_index_forms(
             [e for e in entries if e.maximal or e.process.visible_count == 3])
     tracer = load_tracing().Tracer()
     tracer.install()

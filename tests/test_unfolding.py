@@ -367,6 +367,19 @@ class TestVisiblePomset:
                 assert {p.labels[u], p.labels[v]} != {"a", "c"}
 
 
+    def test_pomsets_match_one_at_a_time(self):
+        # four self-loops labelled a: many visible sets, few index forms
+        loops = cn.make_net(
+            places=[f"p{i}" for i in range(4)], transitions=[f"t{i}" for i in range(4)],
+            flow=[(f"p{i}", f"t{i}") for i in range(4)] + [(f"t{i}", f"p{i}") for i in range(4)],
+            initial_marking=[f"p{i}" for i in range(4)], labelling={f"t{i}": "a" for i in range(4)},
+        )
+        cases = [(cn.builtin(name), k) for name in cn.BUILTIN_NAMES for k in range(5)]
+        for net, k in cases + [(loops, 7)]:
+            processes = [e.process for e in cn.enumerate_processes(net, k)]
+            assert cn.visible_pomsets(processes) == [cn.visible_pomset(p) for p in processes]
+
+
 class TestCanonicalize:
     def test_renamed_copies_equal(self):
         o1 = NamedOrder(("x", "y"), {"x": "a", "y": "b"}, frozenset({("x", "y")}))
@@ -398,6 +411,14 @@ class TestCanonicalize:
         ):
             with pytest.raises(ValueError):
                 cn.canonicalize(labels, order)
+
+    def test_duplicate_pairs_and_one_shot_orders(self):
+        labels, order = "abca", [(0, 1), (0, 2), (1, 2), (3, 2)]
+        p = cn.canonicalize(labels, order)
+        assert cn.canonicalize(labels, order + [(1, 2), (0, 1)]) == p
+        assert cn.canonicalize(labels, (pair for pair in order)) == p
+        assert cn.canonicalize("aaaa", (pair for pair in [(0, 1), (2, 3)])) == (
+            cn.canonicalize("aaaa", [(0, 1), (2, 3), (0, 1)]))
 
     def test_canonical_form_is_a_fixed_point(self):
         shown = []
