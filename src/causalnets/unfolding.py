@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import TAU, ContactError, LabelledNet, UnknownElementError
 from .semantics import LimitExceededError
@@ -42,12 +42,18 @@ class _Prefix:
     initial ones, one per marked place in sorted order.  An event is stored
     once, under the key ``(t, consumed condition ids)``, or ``(t, n)`` for
     the n-th occurrence of an input-less ``t``.  Per event the prefix keeps
-    its transition, the conditions it consumes and produces, and the mask of
-    the visible events strictly before it.
+    its transition, the conditions it consumes and produces, the mask of the
+    visible events strictly before it, and its visible height: the number of
+    visible events on the longest chain that ends at it.  A configuration
+    holds the whole visible past of each of its events, so per visible event
+    the prefix also keeps what no configuration changes: its visible past as
+    an ascending tuple, and its longest-chain depth, label and in-degree
+    among the visible events.
     """
 
     __slots__ = ("net", "moves", "cond_place", "cond_producer", "index", "trans",
-                 "pre", "post", "vpast", "visible", "inputless", "_names")
+                 "pre", "post", "vpast", "height", "preds", "colour", "visible", "inputless",
+                 "_names")
 
     def __init__(self, net: LabelledNet):
         self.net = net
@@ -64,6 +70,9 @@ class _Prefix:
         self.pre: list[tuple[int, ...]] = []
         self.post: list[tuple[int, ...]] = []
         self.vpast: list[int] = []
+        self.height: list[int] = []
+        self.preds: dict[int, tuple[int, ...]] = {}  # visible e -> its visible past
+        self.colour: dict[int, tuple[int, str, int]] = {}  # visible e -> (depth, label, indegree)
         self.visible = 0  # mask of the visible events
         self.inputless: dict[str, list[int]] = {}  # t -> its input-less events, 1st, 2nd, ...
         self._names: dict[int, tuple] = {}
@@ -71,17 +80,22 @@ class _Prefix:
     def add_event(self, key: tuple, t: str, chosen: tuple[int, ...]) -> int:
         e = len(self.trans)
         _, places, _, visible = self.moves[t]
-        vpast = 0
+        vpast = depth = 0
         for c in chosen:
             p = self.cond_producer[c]
             if p is not None:  # p's visible past, and p itself when visible
                 vpast |= self.vpast[p] | self.visible & 1 << p
+                if depth < self.height[p]:
+                    depth = self.height[p]
         self.index[key] = e
         self.trans.append(t)
         self.pre.append(chosen)
         self.vpast.append(vpast)
+        self.height.append(depth + visible)
         if visible:
             self.visible |= 1 << e
+            preds = self.preds[e] = tuple(_bits(vpast))
+            self.colour[e] = (depth, self.net.labelling[t], len(preds))
         base = len(self.cond_place)
         self.post.append(tuple(range(base, base + len(places))))
         self.cond_place.extend(places)
@@ -208,8 +222,7 @@ def is_maximal(net: LabelledNet, process: Process) -> bool:
     return not any(net._preset[t] <= process.end.keys() for t in net.transitions)
 
 
-@dataclass(frozen=True)
-class ProcessEntry:
+class ProcessEntry(NamedTuple):
     """An enumerated process; ``maximal`` is ``is_maximal`` (at the bound too)
     and ``saturated`` says the event limit cut an extension within the bound."""
 
@@ -247,22 +260,26 @@ def enumerate_processes(
         raise ValueError("event_limit must be nonnegative")
     if process_limit is not None and process_limit < 1:
         raise ValueError("process_limit must be at least 1")
-    order = sorted(net.transitions)
+    # a queued process comes with the mask of its marked places, so only a
+    # transition whose preset mask it covers is passed to _extension; that
+    # raises on contact, so a child's marked places are marked & ~pre | post
+    bit = {place: 1 << i for i, place in enumerate(sorted(net.places))}
+    moves = [(t, sum(bit[p] for p in net._preset[t]), sum(bit[p] for p in net._postset[t]),
+              net.labelling[t] != TAU) for t in sorted(net.transitions)]
     start = initial_process(net)
     seen = {0}
-    queue = deque([start])
+    queue = deque([(start, sum(bit[p] for p in start.end))])
     entries: list[ProcessEntry] = []
     while queue:
-        process = queue.popleft()
+        process, marked = queue.popleft()
         saturated = covered = False
-        for t in order:
-            if net.labelling[t] != TAU and process.visible_count >= visible_bound:
-                covered = covered or net._preset[t] <= process.end.keys()
-                continue
-            e = _extension(process, t)
-            if e is None:
+        for t, pre, post, visible in moves:
+            if pre & ~marked:
                 continue
             covered = True
+            if visible and process.visible_count >= visible_bound:
+                continue
+            e = _extension(process, t)
             if process.event_count + 1 > event_limit:
                 saturated = True
                 continue
@@ -272,7 +289,7 @@ def enumerate_processes(
             if process_limit is not None and len(seen) >= process_limit:
                 raise LimitExceededError(f"process limit {process_limit} exceeded")
             seen.add(config)
-            queue.append(_extend(process, e))
+            queue.append((_extend(process, e), marked & ~pre | post))
         entries.append(ProcessEntry(process, not covered, saturated))
     return entries
 
@@ -307,6 +324,21 @@ class Pomset:
         return (f"events: {events}" if events else "events:") + "\n" + (
             f"order: {pairs}" if pairs else "order:"
         ) + "\n"
+
+
+def _discrete(colours: dict, order: Iterable[tuple]) -> Pomset | None:
+    """The canonical form of an order, given as its distinct pairs, whose
+    initial colouring ``colours`` (vertex -> (depth, label, indegree,
+    outdegree)) is discrete, else None.
+
+    A discrete colouring is a fixed point of refinement and has no class to
+    split, so its encoding is the canonical form."""
+    if len(set(colours.values())) < len(colours):
+        return None
+    ranked = sorted(colours, key=colours.__getitem__)
+    position = dict(zip(ranked, range(len(ranked))))
+    return Pomset(labels=tuple(colours[v][1] for v in ranked),
+                  order=tuple(sorted([(position[u], position[v]) for u, v in order])))
 
 
 def canonicalize(labels: Sequence[str], order: Iterable[tuple[int, int]]) -> Pomset:
@@ -347,12 +379,11 @@ def canonicalize(labels: Sequence[str], order: Iterable[tuple[int, int]]) -> Pom
     for u, v in sorted(order, key=lambda pair: indeg[pair[0]]):
         if depth[u] >= depth[v]:
             depth[v] = depth[u] + 1
-    initial = dense([(depth[i], labels[i], indeg[i], above[i].bit_count()) for i in range(n)])
-    if len(set(initial)) == n:
-        # a discrete colouring is a fixed point of refine and has no class
-        # to split, so its encoding is the canonical form
-        return Pomset(labels=tuple(labels[i] for i in sorted(range(n), key=initial.__getitem__)),
-                      order=tuple(sorted({(initial[u], initial[v]) for u, v in order})))
+    colours = {i: (depth[i], labels[i], indeg[i], above[i].bit_count()) for i in range(n)}
+    pomset = _discrete(colours, set(order))
+    if pomset is not None:
+        return pomset
+    initial = dense(list(colours.values()))
     pred: list[set[int]] = [set() for _ in range(n)]
     succ: list[set[int]] = [set() for _ in range(n)]
     for u, v in order:
@@ -409,47 +440,42 @@ def canonicalize(labels: Sequence[str], order: Iterable[tuple[int, int]]) -> Pom
     return Pomset(labels=labs, order=pairs)
 
 
-def _index_form(prefix: _Prefix, visible: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The labels of the events in the visible-event mask ``visible``, in
-    ascending prefix order, and per index the mask of the indices before it."""
-    events = list(_bits(visible))
-    bit = {e: 1 << i for i, e in enumerate(events)}
-    below = []
-    for e in events:
-        mask = 0
-        for u in _bits(prefix.vpast[e]):
-            mask |= bit[u]
-        below.append(mask)
-    return tuple(prefix.net.labelling[prefix.trans[e]] for e in events), tuple(below)
-
-
-def _canonical(labels: tuple[str, ...], below: tuple[int, ...]) -> Pomset:
-    # through the module global, so a wrapper installed on it sees each call
-    return canonicalize(labels, [(u, v) for v, mask in enumerate(below) for u in _bits(mask)])
-
-
 def visible_pomset(process: Process) -> Pomset:
     """The causal order between the process's visible events, canonicalised."""
-    prefix = process.prefix
-    return _canonical(*_index_form(prefix, process.config & prefix.visible))
+    return visible_pomsets([process])[0]
 
 
 def visible_pomsets(processes: Iterable[Process]) -> list[Pomset]:
-    """``visible_pomset`` of each process, canonicalised once per distinct
-    index form; a discrete initial colouring skips refinement.  The prefix
-    fixes the order between its events, so configurations with the same
-    visible events share one index form, built once."""
+    """``visible_pomset`` of each process, built once per distinct visible
+    set.  The prefix stores each visible event's depth, label, in-degree and
+    visible past; one pass over those pasts gives the set's out-degrees and
+    order pairs.  When that initial colouring is discrete its encoding is the
+    canonical form; otherwise the set's index form is canonicalised, once
+    per distinct form."""
     done: dict[tuple[_Prefix, int], Pomset] = {}
     forms: dict[tuple, Pomset] = {}
     pomsets = []
     for process in processes:
-        key = (process.prefix, process.config & process.prefix.visible)
+        prefix = process.prefix
+        key = (prefix, process.config & prefix.visible)
         pomset = done.get(key)
         if pomset is None:
-            form = _index_form(*key)
-            pomset = forms.get(form)
+            events = list(_bits(key[1]))
+            preds, colour = prefix.preds, prefix.colour
+            pairs = [(u, e) for e in events for u in preds[e]]
+            outdeg = dict.fromkeys(events, 0)
+            for u, _ in pairs:
+                outdeg[u] += 1
+            pomset = _discrete({e: (*colour[e], outdeg[e]) for e in events}, pairs)
             if pomset is None:
-                pomset = forms[form] = _canonical(*form)
+                # the index form: labels in ascending prefix order, pairs of indices
+                index = dict(zip(events, range(len(events))))
+                form = (tuple(colour[e][1] for e in events),
+                        tuple((index[u], index[v]) for u, v in pairs))
+                pomset = forms.get(form)
+                if pomset is None:
+                    # through the module global, so a wrapper installed on it sees each call
+                    pomset = forms[form] = canonicalize(*form)
             done[key] = pomset
         pomsets.append(pomset)
     return pomsets

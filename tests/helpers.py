@@ -19,6 +19,26 @@ from causalnets.unfolding import _bits
 TAU = "tau"
 
 
+# --- scalable nets ------------------------------------------------------------
+
+
+def loops(n, label=None):
+    """n independent self-loops: one marking, 2^n - 1 steps.  Invisible, or
+    all labelled ``label``: then the processes are n chains of equal events."""
+    ps, ts = ([f"{x}{i:02d}" for i in range(n)] for x in "pt")
+    return cn.make_net(ps, ts, list(zip(ps, ts)) + list(zip(ts, ps)), ps,
+                       {t: label for t in ts} if label else None)
+
+
+def rings(k):
+    """k independent rings of three invisible transitions."""
+    ps = [f"r{j}_{i}" for j in range(k) for i in range(3)]
+    ts = [f"u{j}_{i}" for j in range(k) for i in range(3)]
+    arcs = [(f"r{j}_{i}", f"u{j}_{i}") for j in range(k) for i in range(3)]
+    arcs += [(f"u{j}_{i}", f"r{j}_{(i + 1) % 3}") for j in range(k) for i in range(3)]
+    return cn.make_net(ps, ts, arcs, [f"r{j}_0" for j in range(k)])
+
+
 # --- direct transcription of the dependency-step rule ------------------------
 
 
@@ -101,6 +121,31 @@ def canonical(o: NamedOrder) -> cn.Pomset:
     vertices, labels, below = o
     index = {v: i for i, v in enumerate(vertices)}
     return cn.canonicalize([labels[v] for v in vertices], [(index[u], index[v]) for u, v in below])
+
+
+def visible_index_form(process: cn.Process) -> tuple[tuple[str, ...], frozenset]:
+    """The labels of the process's visible events in ascending prefix order
+    and the order pairs between their indices, read from ``prefix.vpast``."""
+    prefix = process.prefix
+    visible = list(_bits(process.config & prefix.visible))
+    index = {e: i for i, e in enumerate(visible)}
+    labels = tuple(prefix.net.labelling[prefix.trans[e]] for e in visible)
+    pairs = frozenset((index[u], index[v]) for v in visible for u in visible
+                      if prefix.vpast[v] >> u & 1)
+    return labels, pairs
+
+
+def discrete_colouring(labels, pairs) -> bool:
+    """Whether the initial colouring (longest-chain depth, label, in-degree,
+    out-degree) of the order gives every vertex its own colour."""
+    below = [{u for u, w in pairs if w == v} for v in range(len(labels))]
+
+    def depth(v):
+        return max((depth(u) + 1 for u in below[v]), default=0)
+
+    colours = {(depth(v), labels[v], len(below[v]), sum(u == v for u, _ in pairs))
+               for v in range(len(labels))}
+    return len(colours) == len(labels)
 
 
 def brute_force_iso(o1: NamedOrder, o2: NamedOrder) -> bool:

@@ -70,3 +70,10 @@ def test_one_order_form():
     # canonicalize takes the index form a Pomset prints; no vertex-named class
     assert not hasattr(cn, "LPO") and "LPO" not in cn.__all__
     assert not hasattr(unfolding, "LPO")
+
+
+def test_process_entry_is_a_named_tuple():
+    # built once per enumerated process; equal to the plain tuple of its fields
+    assert cn.ProcessEntry._fields == ("process", "maximal", "saturated")
+    process = cn.initial_process(cn.make_net())
+    assert cn.ProcessEntry(process, True, False) == (process, True, False)

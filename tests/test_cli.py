@@ -13,7 +13,7 @@ from causalnets.cli import _COMMANDS, main
 from causalnets.model import check_contact_free, make_net, serialize_net
 from causalnets.transforms import BUILTIN_NAMES
 
-from helpers import random_net
+from helpers import loops, random_net, rings
 
 ROOT = Path(__file__).resolve().parent.parent
 NETS = ROOT / "src" / "causalnets" / "nets"
@@ -35,23 +35,6 @@ def oneshot(n):
     ps, qs, ts = ([f"{x}{i:02d}" for i in range(n)] for x in "pqt")
     return make_net(ps + qs, ts, list(zip(ps, ts)) + list(zip(ts, qs)), ps,
                     {t: f"a{i:02d}" for i, t in enumerate(ts)})
-
-
-def loops(n, label=None):
-    """n independent self-loops: one marking, 2^n - 1 steps.  Invisible, or
-    all labelled ``label``: then the processes are n chains of equal events."""
-    ps, ts = ([f"{x}{i:02d}" for i in range(n)] for x in "pt")
-    return make_net(ps, ts, list(zip(ps, ts)) + list(zip(ts, ps)), ps,
-                    {t: label for t in ts} if label else None)
-
-
-def rings(k):
-    """k independent rings of three invisible transitions."""
-    ps = [f"r{j}_{i}" for j in range(k) for i in range(3)]
-    ts = [f"u{j}_{i}" for j in range(k) for i in range(3)]
-    arcs = [(f"r{j}_{i}", f"u{j}_{i}") for j in range(k) for i in range(3)]
-    arcs += [(f"u{j}_{i}", f"r{j}_{(i + 1) % 3}") for j in range(k) for i in range(3)]
-    return make_net(ps, ts, arcs, [f"r{j}_0" for j in range(k)])
 
 
 class TestValidate:

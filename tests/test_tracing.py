@@ -14,7 +14,7 @@ from pathlib import Path
 import causalnets as cn
 from causalnets.cli import main
 
-from helpers import brute_force_contact_free
+from helpers import brute_force_contact_free, discrete_colouring, loops, visible_index_form
 
 ROOT = Path(__file__).resolve().parent.parent
 NETS = ROOT / "src" / "causalnets" / "nets"
@@ -52,37 +52,36 @@ def test_marking_verdicts_explore_once(capsys):
     capsys.readouterr()
 
 
-def test_pomset_layer_is_traced(capsys):
+def test_pomset_layer_is_traced(capsys, tmp_path):
     # visible_pomsets reaches canonicalize through the module global, once
-    # per distinct index form among the processes a command shows: the
-    # labels of the visible events in ascending prefix order and the order
-    # pairs between their indices
-    def index_form(process):
-        prefix = process.prefix
-        visible = [e for e in range(len(prefix.trans)) if (process.config & prefix.visible) >> e & 1]
-        index = {e: i for i, e in enumerate(visible)}
-        labels = tuple(prefix.net.labelling[prefix.trans[e]] for e in visible)
-        pairs = frozenset((index[u], index[v]) for v in visible for u in visible
-                          if prefix.vpast[v] >> u & 1)
-        return labels, pairs
+    # per distinct index form among the processes a command shows whose
+    # initial colouring (depth, label, in-degree, out-degree) is not
+    # discrete; an index form is the labels of the visible events in
+    # ascending prefix order and the order pairs between their indices
+    def refined_forms(entries):
+        forms = {visible_index_form(e.process) for e in entries}
+        return sum(not discrete_colouring(*form) for form in forms)
 
-    def distinct_index_forms(entries):
-        return len({index_form(e.process) for e in entries})
-
+    # every visible set the bundled nets show at k=3 is discrete; the
+    # a-labelled self-loops show sets that are not
+    files = {name: NETS / f"{name}.net" for name in cn.BUILTIN_NAMES}
+    files["loops"] = tmp_path / "loops.net"
+    files["loops"].write_text(cn.serialize_net(loops(4, "a")), encoding="utf-8")
     expected = {}
-    for name in cn.BUILTIN_NAMES:
-        entries = cn.enumerate_processes(cn.builtin(name), 3)
-        expected[name, "unfold"] = distinct_index_forms(entries)
-        expected[name, "pomsets"] = distinct_index_forms(
+    for name, path in files.items():
+        entries = cn.enumerate_processes(cn.parse_net(path.read_text(encoding="utf-8")), 3)
+        expected[name, "unfold"] = refined_forms(entries)
+        expected[name, "pomsets"] = refined_forms(
             [e for e in entries if e.maximal or e.process.visible_count == 3])
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
         for (name, command), calls in expected.items():
             before = tracer.counts["unfolding.canonicalize.calls"]
-            assert main([command, str(NETS / f"{name}.net"), "-k", "3"]) == 0
+            assert main([command, str(files[name]), "-k", "3"]) == 0
             assert tracer.counts["unfolding.canonicalize.calls"] - before == calls, (name, command)
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert all(expected.values())
+    assert all(calls == 0 for (name, _), calls in expected.items() if name != "loops")
+    assert all(expected["loops", command] for command in ("unfold", "pomsets"))

@@ -1,5 +1,6 @@
 """Process enumeration, maximality, canonical pomsets."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -14,9 +15,11 @@ from helpers import (
     brute_force_processes,
     canonical,
     conditions,
+    discrete_colouring,
     event_trans,
     events,
     fold,
+    loops,
     lpo_from,
     occ_net,
     plain_enabled,
@@ -28,10 +31,22 @@ from helpers import (
     random_lpo,
     random_net,
     random_tractable_nets,
+    rings,
     shuffled_copy,
     validate_occurrence_net,
     validate_process,
+    visible_index_form,
 )
+from test_acceptance import CORPUS_EVENT_LIMIT, _corpus
+
+
+def input_less_net():
+    # g and s touch no place (with an output place a second firing would
+    # be contact); their occurrences are numbered per transition
+    return cn.make_net(
+        places=["p", "r"], transitions=["g", "s", "t"], flow=[("p", "t"), ("t", "r")],
+        initial_marking=["p"], labelling={"g": "a", "s": "b"},
+    )
 
 
 def fig2():
@@ -200,6 +215,35 @@ class TestEnumerateProcesses:
             for e in cn.enumerate_processes(net, 2):
                 validate_process(net, e.process)
 
+    def test_entry_dump_pinned(self):
+        # SHA-256 of the dump before the enumeration loop read place masks:
+        # BFS order, maximality, saturation and input-less numbering
+        def entry_dump(entries):
+            short = {}
+
+            def text(x):  # a structural name, shortened to a digest per tuple
+                if isinstance(x, frozenset):
+                    return "{" + ",".join(sorted(map(text, x))) + "}"
+                if isinstance(x, tuple):
+                    if x not in short:
+                        short[x] = hashlib.sha256(" ".join(map(text, x)).encode()).hexdigest()[:16]
+                    return short[x]
+                return str(x)
+
+            return "".join(
+                f"{i} {e.process.event_count} {e.process.visible_count} {e.maximal} {e.saturated} "
+                f"{' '.join(sorted(map(text, e.process.key)))}\n"
+                for i, e in enumerate(entries))
+
+        cases = [(cn.builtin(name), k, None) for name in cn.BUILTIN_NAMES for k in range(6)]
+        cases += [(input_less_net(), k, 8) for k in range(4)]
+        cases += [(rings(3), 0, 20)]
+        digest = hashlib.sha256()
+        for net, k, event_limit in cases:
+            digest.update(entry_dump(cn.enumerate_processes(net, k, event_limit)).encode())
+        assert digest.hexdigest() == (
+            "7a453c24f3935154da7b729489ce30f7ae3c5d820b35b98007d47d9926cd0804")
+
 
 class TestValidateProcess:
     def self_loop(self):
@@ -302,14 +346,8 @@ class TestAgainstBruteForce:
                 self.check(cn.builtin(name), k, 10 * k + 50)
 
     def test_input_less_transitions(self):
-        # g and s touch no place (with an output place a second firing would
-        # be contact); their occurrences are numbered per transition
-        net = cn.make_net(
-            places=["p", "r"], transitions=["g", "s", "t"], flow=[("p", "t"), ("t", "r")],
-            initial_marking=["p"], labelling={"g": "a", "s": "b"},
-        )
         for k in range(4):
-            self.check(net, k, 8)
+            self.check(input_less_net(), k, 8)
 
     def test_seeded_random_nets_and_refinements(self):
         nets = random_tractable_nets(seed=8086, count=40, max_places=5, max_transitions=5)
@@ -378,6 +416,29 @@ class TestVisiblePomset:
         for net, k in cases + [(loops, 7)]:
             processes = [e.process for e in cn.enumerate_processes(net, k)]
             assert cn.visible_pomsets(processes) == [cn.visible_pomset(p) for p in processes]
+
+    def test_matches_canonicalize_on_every_shown_set(self):
+        # the per-event path against canonicalize of the index form built
+        # from vpast, on both of its exits
+        cases = [(cn.builtin(name), k, None) for name in cn.BUILTIN_NAMES for k in range(7)]
+        cases += [(loops(n, "a"), 7, None) for n in (4, 5, 6)]
+        cases += [(rings(3), 0, limit) for limit in (20, 25, 30)]
+        corpus = _corpus()
+        corpus += [cn.refine_transition(net, t)[0] for net in corpus for t in sorted(net.transitions)]
+        cases += [(net, 3, CORPUS_EVENT_LIMIT) for net in corpus]
+        exits = Counter()
+        for net, k, event_limit in cases:
+            processes = [e.process for e in cn.enumerate_processes(net, k, event_limit)]
+            seen = set()
+            for process, p in zip(processes, cn.visible_pomsets(processes)):
+                visible = process.config & process.prefix.visible
+                if visible in seen:
+                    continue
+                seen.add(visible)
+                labels, pairs = visible_index_form(process)
+                assert p == cn.canonicalize(labels, pairs)
+                exits[discrete_colouring(labels, pairs)] += 1
+        assert exits[True] >= 3700 and exits[False] >= 1700, exits
 
 
 class TestCanonicalize:
