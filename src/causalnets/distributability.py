@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .model import DEFAULT_STATE_LIMIT, LabelledNet
-from .semantics import _bfs_tree, _independent, _path, explore_reachable
+from .semantics import _bfs_tree, _path, explore_reachable
 
 
 @dataclass(frozen=True)
@@ -88,24 +88,14 @@ def concurrency_relation(
     """Compute which transition pairs some reachable marking fires together."""
     graph = explore_reachable(net, False, state_limit, steps=False)
     enabled: list[list[str]] = [[] for _ in graph.nodes]
-    for e in graph.edges:  # one edge per enabled transition
+    for e in graph.edges:  # one edge per enabled transition, in sorted order
         enabled[e.source].extend(e.step)
     together = {pair for ts in enabled for pair in combinations(ts, 2)}
-    return ConcurrencyRelation(
-        frozenset(frozenset(pair) for pair in together if _independent(net, *pair))
-    )
+    later = net._table.later
+    return ConcurrencyRelation(frozenset(frozenset((t, u)) for t, u in together if u in later[t]))
 
 
-def _shared_preplace_graph(net: LabelledNet) -> dict[str, set[str]]:
-    adjacency: dict[str, set[str]] = {t: set() for t in net.transitions}
-    for t, u in combinations(sorted(net.transitions), 2):
-        if net._preset[t] & net._preset[u]:
-            adjacency[t].add(u)
-            adjacency[u].add(t)
-    return adjacency
-
-
-def _components(adjacency: dict[str, set[str]]) -> dict[str, str]:
+def _components(adjacency: Mapping[str, frozenset[str]]) -> dict[str, str]:
     # Starts go in sorted order, so each component is named by its least member.
     component: dict[str, str] = {}
     for start in sorted(adjacency):
@@ -125,7 +115,7 @@ def check_distributed(
     returned as a shortest connecting chain.
     """
     conc = concurrency_relation(net, state_limit)
-    adjacency = _shared_preplace_graph(net)
+    adjacency = net._table.sharing
     component = _components(adjacency)
 
     for pair in sorted(conc.pairs, key=lambda p: tuple(sorted(p))):
@@ -158,7 +148,7 @@ def find_pure_m(net: LabelledNet, state_limit: int = DEFAULT_STATE_LIMIT) -> lis
     """
     markings = explore_reachable(net, False, state_limit, steps=False).nodes
     # A pure M is an induced path left - middle - right in the sharing graph.
-    adjacency = _shared_preplace_graph(net)
+    adjacency = net._table.sharing
     out: list[PureMWitness] = []
     for middle in sorted(adjacency):
         for left, right in combinations(sorted(adjacency[middle]), 2):

@@ -49,7 +49,37 @@ class ContactError(NetError):
     def __init__(self, transition: str, place: str, marking: frozenset[str]):
         super().__init__(f"contact: transition {transition} puts a second token on place {place}")
         self.transition = transition
+        self.place = place
         self.marking = marking
+
+
+class _Table:
+    """What the firing loops read about a net, built once.  ``bit`` gives the
+    i-th place in sorted order bit i; ``moves`` maps each transition, in sorted
+    order, to its sorted preset, postset and pure postset and its visibility;
+    ``rows`` holds ``(t, pre mask, post mask, visible)`` in the same order."""
+
+    def __init__(self, net: LabelledNet):
+        self.bit = bit = {p: 1 << i for i, p in enumerate(sorted(net.places))}
+        self.moves, rows = {}, []
+        for t in sorted(net.transitions):
+            pre, post, vis = net._preset[t], net._postset[t], net.labelling[t] != TAU
+            self.moves[t] = tuple(sorted(pre)), tuple(sorted(post)), tuple(sorted(post - pre)), vis
+            rows.append((t, sum(bit[p] for p in pre), sum(bit[p] for p in post), vis))
+        self.rows = tuple(rows)
+
+    @cached_property
+    def later(self) -> dict[str, frozenset[str]]:
+        """Per transition, the later ones in sorted order with disjoint presets and postsets."""
+        return {t: frozenset(u for u, upre, upost, _ in self.rows[k + 1:]
+                             if not (pre & upre or post & upost))
+                for k, (t, pre, post, _) in enumerate(self.rows)}
+
+    @cached_property
+    def sharing(self) -> dict[str, frozenset[str]]:
+        """Per transition, the other ones sharing a preset place with it."""
+        return {t: frozenset(u for u, upre, _, _ in self.rows if u != t and pre & upre)
+                for t, pre, _, _ in self.rows}
 
 
 @dataclass(frozen=True)
@@ -109,6 +139,8 @@ class LabelledNet:
         for src, dst in self.flow:
             post[src].add(dst)
         return {x: frozenset(v) for x, v in post.items()}
+
+    _table = cached_property(_Table)  # built on first use
 
     @cached_property
     def visible_labels(self) -> frozenset[str]:

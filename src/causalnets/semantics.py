@@ -49,15 +49,11 @@ def _as_step(net: LabelledNet, step: Iterable[str]) -> frozenset[str]:
     return G
 
 
-def _independent(net: LabelledNet, t: str, u: str) -> bool:
-    return not (net._preset[t] & net._preset[u]) and not (net._postset[t] & net._postset[u])
-
-
 def step_enabled(net: LabelledNet, marking: DependencyMarking, step: Iterable[str]) -> bool:
     """True when every member can fire from ``marking`` and no two conflict."""
     G = _as_step(net, step)
     return all(_enabled(net, marking.places, t) for t in G) and all(
-        _independent(net, t, u) for t, u in combinations(sorted(G), 2)
+        u in net._table.later[t] for t, u in combinations(sorted(G), 2)
     )
 
 
@@ -264,13 +260,8 @@ def explore_reachable(
             nodes.append(DependencyMarking(after) if dependency else after)
         edges.append(ReachEdge(i, g, j))
 
-    order = sorted(net.transitions)
-    # The transitions after t in sorted order that are independent of t;
-    # independence depends on the net alone.
-    later = {
-        t: frozenset(u for u in order[k + 1:] if _independent(net, t, u))
-        for k, t in enumerate(order)
-    } if steps else {}
+    order = net._table.moves  # keyed in sorted order
+    later = net._table.later if steps else {}
     # What each enabled transition takes from a node and puts back (refilled
     # per node in dependency mode).  A step's members are independent and
     # enabled, so no member's postset meets another's preset: the step's

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .model import TAU, ContactError, LabelledNet, UnknownElementError
+from .model import ContactError, LabelledNet, UnknownElementError
 from .semantics import LimitExceededError
 
 
@@ -57,12 +57,7 @@ class _Prefix:
 
     def __init__(self, net: LabelledNet):
         self.net = net
-        # per transition: sorted preset, sorted postset, pure postset, visibility
-        self.moves = {
-            t: (tuple(sorted(net._preset[t])), tuple(sorted(net._postset[t])),
-                tuple(sorted(net._postset[t] - net._preset[t])), net.labelling[t] != TAU)
-            for t in net.transitions
-        }
+        self.moves = net._table.moves  # t -> sorted preset, postset, pure postset; visibility
         self.cond_place: list[str] = sorted(net.initial_marking)
         self.cond_producer: list[int | None] = [None] * len(self.cond_place)
         self.index: dict[tuple, int] = {}
@@ -263,9 +258,7 @@ def enumerate_processes(
     # a queued process comes with the mask of its marked places, so only a
     # transition whose preset mask it covers is passed to _extension; that
     # raises on contact, so a child's marked places are marked & ~pre | post
-    bit = {place: 1 << i for i, place in enumerate(sorted(net.places))}
-    moves = [(t, sum(bit[p] for p in net._preset[t]), sum(bit[p] for p in net._postset[t]),
-              net.labelling[t] != TAU) for t in sorted(net.transitions)]
+    bit, rows = net._table.bit, net._table.rows
     start = initial_process(net)
     seen = {0}
     queue = deque([(start, sum(bit[p] for p in start.end))])
@@ -273,7 +266,7 @@ def enumerate_processes(
     while queue:
         process, marked = queue.popleft()
         saturated = covered = False
-        for t, pre, post, visible in moves:
+        for t, pre, post, visible in rows:
             if pre & ~marked:
                 continue
             covered = True

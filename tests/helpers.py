@@ -319,24 +319,65 @@ def brute_force_step_graph(net: cn.LabelledNet, dependency: bool, limit: int):
     return nodes, edges, exceeded
 
 
-def brute_force_contact_free(net: cn.LabelledNet):
-    """Fixpoint over explicit marking sets with the refusing firing rule."""
-    reachable = {frozenset(net.initial_marking)}
-    changed = True
-    while changed:
-        changed = False
-        for m in list(reachable):
+def _fires(net, m, t) -> bool:
+    """The refusing firing rule at the plain marking ``m``, read from ``net.flow``."""
+    return _pre(net, t) <= m and not ((m - _pre(net, t)) & _post(net, t))
+
+
+def reachable_depths(net: cn.LabelledNet) -> dict[frozenset, int]:
+    """The plain markings reachable with the refusing firing rule, grown one
+    firing at a time: each mapped to the length of its shortest firing
+    sequence."""
+    depth = {frozenset(net.initial_marking): 0}
+    level = list(depth)
+    while level:
+        following = []
+        for m in level:
             for t in net.transitions:
-                if _pre(net, t) <= m and not ((m - _pre(net, t)) & _post(net, t)):
-                    m2 = frozenset((m - _pre(net, t)) | _post(net, t))
-                    if m2 not in reachable:
-                        reachable.add(m2)
-                        changed = True
+                m2 = frozenset((m - _pre(net, t)) | _post(net, t))
+                if _fires(net, m, t) and m2 not in depth:
+                    depth[m2] = depth[m] + 1
+                    following.append(m2)
+        level = following
+    return depth
+
+
+def brute_force_contact_free(net: cn.LabelledNet):
+    """Explicit reachable marking sets, searched for a contact."""
+    reachable = set(reachable_depths(net))
     for m in reachable:
         for t in sorted(net.transitions):
             if _pre(net, t) <= m and (m - _pre(net, t)) & _post(net, t):
                 return False, reachable
     return True, reachable
+
+
+def oracle_concurrency_pairs(net: cn.LabelledNet) -> frozenset[frozenset[str]]:
+    """Distinct t and u with disjoint presets and disjoint postsets that are
+    both enabled at one reachable marking."""
+    reachable = reachable_depths(net)
+    return frozenset(
+        frozenset((t, u)) for t, u in combinations(sorted(net.transitions), 2)
+        if not (_pre(net, t) & _pre(net, u) or _post(net, t) & _post(net, u))
+        and any(_fires(net, m, t) and _fires(net, m, u) for m in reachable)
+    )
+
+
+def oracle_pure_m(net: cn.LabelledNet) -> dict[tuple[str, str, str], int]:
+    """The pure M triples in sorted order, each mapped to the least BFS depth
+    of a reachable marking covering its joint preset: ``left < right`` share
+    a preset place with ``middle`` and none with each other."""
+    depth = reachable_depths(net)
+    pre = {t: _pre(net, t) for t in net.transitions}
+    out = {}
+    for left, middle, right in permutations(sorted(net.transitions), 3):
+        if left < right and pre[left] & pre[middle] and pre[middle] & pre[right] and not (
+                pre[left] & pre[right]):
+            need = pre[left] | pre[middle] | pre[right]
+            covering = [d for m, d in depth.items() if need <= m]
+            if covering:
+                out[left, middle, right] = min(covering)
+    return dict(sorted(out.items()))
 
 
 def all_partitions(items):
@@ -352,13 +393,13 @@ def all_partitions(items):
 
 
 def brute_force_distributable(net: cn.LabelledNet) -> bool:
-    conc = cn.concurrency_relation(net)
+    pairs = oracle_concurrency_pairs(net)
     elements = sorted(net.places | net.transitions)
     for part in all_partitions(elements):
         loc = {x: i for i, block in enumerate(part) for x in block}
-        if any(loc[t] != loc[s] for t in net.transitions for s in cn.preset(net, t)):
+        if any(loc[t] != loc[s] for t in net.transitions for s in _pre(net, t)):
             continue
-        if any(loc[t] == loc[u] for pair in conc.pairs for t, u in [tuple(pair)]):
+        if any(loc[t] == loc[u] for pair in pairs for t, u in [tuple(pair)]):
             continue
         return True
     return False

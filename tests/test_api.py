@@ -77,3 +77,18 @@ def test_process_entry_is_a_named_tuple():
     assert cn.ProcessEntry._fields == ("process", "maximal", "saturated")
     process = cn.initial_process(cn.make_net())
     assert cn.ProcessEntry(process, True, False) == (process, True, False)
+
+
+def test_independence_is_read_from_the_table():
+    # step_enabled and the explorer test ``u in net._table.later[t]``
+    assert not hasattr(semantics, "_independent")
+
+
+def test_preset_sharing_is_read_from_the_table():
+    # distributability reads ``net._table.sharing``
+    assert not hasattr(distributability, "_shared_preplace_graph")
+
+
+def test_prefix_moves_are_the_table_entry():
+    net = cn.builtin("centralised")
+    assert cn.initial_process(net).prefix.moves is net._table.moves

@@ -8,7 +8,16 @@ from helpers import (
     assert_valid_chain,
     assert_valid_distribution,
     brute_force_distributable,
+    oracle_concurrency_pairs,
+    oracle_pure_m,
     random_contact_free_nets,
+    reachable_depths,
+)
+
+ORACLE_NETS = (
+    [cn.builtin(name) for name in cn.BUILTIN_NAMES]
+    + random_contact_free_nets(seed=29, count=150)
+    + random_contact_free_nets(seed=30, count=400, max_places=5, max_transitions=7)
 )
 
 
@@ -31,6 +40,12 @@ class TestConcurrencyRelation:
             labelling={"t": "a", "u": "b"},
         )
         assert cn.concurrency_relation(net).pairs == frozenset()
+
+    def test_matches_oracle(self):
+        assert [net for net in ORACLE_NETS
+                if cn.concurrency_relation(net).pairs != oracle_concurrency_pairs(net)] == []
+        # the four bundled nets and 5 + 14 seeded draws have concurrent pairs
+        assert sum(bool(oracle_concurrency_pairs(net)) for net in ORACLE_NETS) >= 23
 
 
 class TestCheckDistributed:
@@ -104,6 +119,21 @@ class TestFindPureM:
             need = cn.preset(net, w.left) | cn.preset(net, w.middle) | cn.preset(net, w.right)
             assert need <= w.marking
 
+    def test_matches_oracle(self):
+        with_triples = 0
+        for net in ORACLE_NETS:
+            want = oracle_pure_m(net)
+            witnesses = cn.find_pure_m(net)
+            assert [(w.left, w.middle, w.right) for w in witnesses] == list(want)
+            depth = reachable_depths(net)
+            for w in witnesses:
+                need = cn.preset(net, w.left) | cn.preset(net, w.middle) | cn.preset(net, w.right)
+                assert w.marking in depth and need <= w.marking
+                assert depth[w.marking] == want[w.left, w.middle, w.right]
+            with_triples += bool(want)
+        # pure_m, repeated_pure_m and 2 + 7 seeded draws have triples
+        assert with_triples >= 11
+
     def test_pure_m_implies_chain(self):
         found_some = 0
         for net in random_contact_free_nets(seed=29, count=150):
@@ -151,5 +181,5 @@ class TestFindPureM:
         with pytest.raises(cn.ContactError) as refusal:
             cn.find_pure_m(net)
         assert str(refusal.value) == "contact: transition t2 puts a second token on place p3"
-        assert (refusal.value.transition, refusal.value.marking) == (
-            "t2", frozenset({"p0", "p1", "p2", "p3", "p4"}))
+        assert (refusal.value.transition, refusal.value.place, refusal.value.marking) == (
+            "t2", "p3", frozenset({"p0", "p1", "p2", "p3", "p4"}))

@@ -1,4 +1,6 @@
-"""Net model: parsing, serialization, pre/post sets, contact-freeness."""
+"""Net model: parsing, serialization, pre/post sets, the transition table, contact-freeness."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 import causalnets as cn
 from causalnets.model import NetParseError, UnknownElementError
 
-from helpers import brute_force_contact_free, net_end, occ_net, process_of_run, random_net
+from helpers import (
+    brute_force_contact_free, loops, net_end, occ_net, process_of_run, random_net, rings,
+)
 
 FIG2_TEXT = """\
 place p *
@@ -151,6 +155,62 @@ class TestPrePost:
             cn.preset(fig2(), "nope")
         with pytest.raises(UnknownElementError):
             cn.postset(fig2(), "nope")
+
+
+def table_nets():
+    rng = random.Random(41)
+    drawn = [random_net(rng, max_places=6, max_transitions=6) for _ in range(200)]
+    assert sum(not cn.check_contact_free(net).ok for net in drawn) >= 20  # contact nets too
+    return (
+        [cn.builtin(name) for name in cn.BUILTIN_NAMES]
+        + [loops(n) for n in (1, 4, 11)] + [rings(k) for k in (1, 3)] + drawn
+        + [
+            # t has no input, u no output, v neither
+            cn.make_net(["p"], ["t", "u", "v"], [("t", "p"), ("p", "u")], labelling={"t": "a"}),
+            # q is isolated
+            cn.make_net(["p", "q"], ["t"], [("p", "t"), ("t", "p")], ["p"]),
+            cn.make_net(),
+        ]
+    )
+
+
+class TestTable:
+    """The per-net table the firing loops read, against a transcription of
+    ``net.flow``."""
+
+    def test_matches_flow(self):
+        for net in table_nets():
+            table = net._table
+            places, ts = sorted(net.places), sorted(net.transitions)
+            pre = {t: {p for p, x in net.flow if x == t} for t in ts}
+            post = {t: {p for x, p in net.flow if x == t} for t in ts}
+            visible = {t: net.labelling[t] != cn.TAU for t in ts}
+
+            def mask(ps):
+                return sum(2 ** places.index(p) for p in ps)
+
+            assert table.bit == {p: 2 ** places.index(p) for p in places}
+            assert list(table.moves) == ts
+            assert table.moves == {
+                t: (tuple(sorted(pre[t])), tuple(sorted(post[t])),
+                    tuple(sorted(post[t] - pre[t])), visible[t]) for t in ts}
+            assert table.rows == tuple((t, mask(pre[t]), mask(post[t]), visible[t]) for t in ts)
+            assert table.later == {
+                t: {u for u in ts if t < u and not pre[t] & pre[u] and not post[t] & post[u]}
+                for t in ts}
+            assert table.sharing == {t: {u for u in ts if u != t and pre[t] & pre[u]} for t in ts}
+
+    def test_relations_are_frozen_and_sharing_symmetric(self):
+        for net in table_nets():
+            later, sharing = net._table.later, net._table.sharing
+            assert all(type(v) is frozenset for v in [*later.values(), *sharing.values()])
+            assert all(t not in us and all(t in sharing[u] for u in us)
+                       for t, us in sharing.items())
+
+    def test_built_once_per_net(self):
+        net = cn.builtin("centralised")
+        assert net._table is net._table
+        assert net._table.later is net._table.later and net._table.sharing is net._table.sharing
 
 
 class TestNetEnd:

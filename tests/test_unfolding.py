@@ -105,8 +105,9 @@ class TestContact:
     def test_extension_raises_naming_transition_and_place(self):
         net = self.contact_net()
         p = cn.extend_process(net, cn.initial_process(net), "t")
-        with pytest.raises(cn.NetError, match="transition u .* place r"):
+        with pytest.raises(cn.ContactError, match="transition u .* place r") as refusal:
             cn.extend_process(net, p, "u")
+        assert (refusal.value.transition, refusal.value.place) == ("u", "r")
 
     def test_enumeration_raises_within_the_bound_only(self):
         net = self.contact_net()
