@@ -54,32 +54,47 @@ class ContactError(NetError):
 
 
 class _Table:
-    """What the firing loops read about a net, built once.  ``bit`` gives the
-    i-th place in sorted order bit i; ``moves`` maps each transition, in sorted
-    order, to its sorted preset, postset and pure postset and its visibility;
-    ``rows`` holds ``(t, pre mask, post mask, visible)`` in the same order."""
+    """What the firing loops read about a net, built once.  ``places`` lists
+    the places in sorted order and ``bit`` gives the i-th one bit i; ``moves``
+    maps each transition, in sorted order, to its sorted preset and postset,
+    their masks and its visibility.  ``covered`` is the firing rule."""
 
     def __init__(self, net: LabelledNet):
-        self.bit = bit = {p: 1 << i for i, p in enumerate(sorted(net.places))}
-        self.moves, rows = {}, []
+        self.places = tuple(sorted(net.places))
+        self.bit = {p: 1 << i for i, p in enumerate(self.places)}
+        self.moves = {}
         for t in sorted(net.transitions):
-            pre, post, vis = net._preset[t], net._postset[t], net.labelling[t] != TAU
-            self.moves[t] = tuple(sorted(pre)), tuple(sorted(post)), tuple(sorted(post - pre)), vis
-            rows.append((t, sum(bit[p] for p in pre), sum(bit[p] for p in post), vis))
-        self.rows = tuple(rows)
+            pre, post = sorted(net._preset[t]), sorted(net._postset[t])
+            self.moves[t] = (tuple(pre), tuple(post), self.mask(pre), self.mask(post),
+                             net.labelling[t] != TAU)
+
+    def mask(self, places: Iterable[str]) -> int:
+        return sum(self.bit[p] for p in places)
+
+    def marking(self, mask: int) -> frozenset[str]:
+        return frozenset([p for p, b in self.bit.items() if mask & b])
+
+    def covered(self, marked: int) -> list[tuple[str, int, bool]]:
+        """``(t, contact, visible)`` in sorted order for each transition whose
+        preset the place mask ``marked`` covers; ``contact`` masks its pure
+        postset places that are marked already.  ``t`` may fire exactly when
+        ``contact`` is 0: otherwise it would put a second token on a place."""
+        return [(t, marked - pre & post, visible)  # marked - pre: pre is marked
+                for t, (_, _, pre, post, visible) in self.moves.items() if pre & marked == pre]
 
     @cached_property
     def later(self) -> dict[str, frozenset[str]]:
         """Per transition, the later ones in sorted order with disjoint presets and postsets."""
-        return {t: frozenset(u for u, upre, upost, _ in self.rows[k + 1:]
+        moves = list(self.moves.items())
+        return {t: frozenset(u for u, (_, _, upre, upost, _) in moves[k + 1:]
                              if not (pre & upre or post & upost))
-                for k, (t, pre, post, _) in enumerate(self.rows)}
+                for k, (t, (_, _, pre, post, _)) in enumerate(moves)}
 
     @cached_property
     def sharing(self) -> dict[str, frozenset[str]]:
         """Per transition, the other ones sharing a preset place with it."""
-        return {t: frozenset(u for u, upre, _, _ in self.rows if u != t and pre & upre)
-                for t, pre, _, _ in self.rows}
+        pre = {t: move[2] for t, move in self.moves.items()}
+        return {t: frozenset(u for u in pre if u != t and pre[t] & pre[u]) for t in pre}
 
 
 @dataclass(frozen=True)
@@ -195,14 +210,6 @@ def postset(net: LabelledNet, x) -> frozenset[str]:
     for e in x:
         out |= postset(net, e)
     return out
-
-
-def _enabled(net: LabelledNet, places: frozenset[str], t: str) -> bool:
-    """The firing rule for one transition: ``places`` covers its preset and
-    none of its pure postset places, so firing it cannot put a second token
-    on a place."""
-    pre = net._preset[t]
-    return pre <= places and not (places - pre) & net._postset[t]
 
 
 class DepToken(NamedTuple):

@@ -23,7 +23,6 @@ from .model import (
     LabelledNet,
     NetError,
     UnknownElementError,
-    _enabled,
     initial_dependency_marking,
 )
 
@@ -52,9 +51,10 @@ def _as_step(net: LabelledNet, step: Iterable[str]) -> frozenset[str]:
 def step_enabled(net: LabelledNet, marking: DependencyMarking, step: Iterable[str]) -> bool:
     """True when every member can fire from ``marking`` and no two conflict."""
     G = _as_step(net, step)
-    return all(_enabled(net, marking.places, t) for t in G) and all(
-        u in net._table.later[t] for t, u in combinations(sorted(G), 2)
-    )
+    table = net._table
+    covered = table.covered(table.mask(marking.places))
+    fireable = {t for t, contact, _ in covered if not contact}
+    return G <= fireable and all(u in table.later[t] for t, u in combinations(sorted(G), 2))
 
 
 def fire_step(net: LabelledNet, marking: DependencyMarking, step: Iterable[str]) -> DependencyMarking:
@@ -115,15 +115,14 @@ def labelled_step(
 
 
 def _tau_closure(net: LabelledNet, markings: Iterable[DependencyMarking]) -> set[DependencyMarking]:
-    taus = sorted(t for t in net.transitions if net.labelling[t] == TAU)
+    table = net._table
     seen = set(markings)
     stack = list(seen)
     while stack:
         m = stack.pop()
-        for t in taus:
-            g = frozenset((t,))
-            if step_enabled(net, m, g):
-                m2 = _fire(net, m, g)
+        for t, contact, visible in table.covered(table.mask(m.places)):
+            if not (visible or contact):
+                m2 = _fire(net, m, (t,))
                 if m2 not in seen:
                     seen.add(m2)
                     stack.append(m2)
@@ -238,16 +237,17 @@ def explore_reachable(
     """
     if state_limit < 1:
         raise ValueError("state_limit must be at least 1")
-    pre, post = net._preset, net._postset
-    root = initial_dependency_marking(net) if dependency else net.initial_marking
+    table = net._table
+    root = initial_dependency_marking(net) if dependency else table.mask(net.initial_marking)
     nodes = [root]
-    # Successors are looked up by their token set; a DependencyMarking, and
-    # with it the one-token-per-place check, is built only for a new node.
+    # Successors are looked up by their token set or place mask; a
+    # DependencyMarking, and with it the one-token-per-place check, is built
+    # only for a new node, and plain nodes become frozensets at the end.
     seen = {root.tokens if dependency else root: 0}
     edges: list[ReachEdge] = []
     limit_exceeded = False
 
-    def add_edge(i: int, g: tuple[str, ...], after: frozenset):
+    def add_edge(i: int, g: tuple[str, ...], after):
         nonlocal limit_exceeded
         j = seen.get(after)
         if j is None:
@@ -260,20 +260,21 @@ def explore_reachable(
             nodes.append(DependencyMarking(after) if dependency else after)
         edges.append(ReachEdge(i, g, j))
 
-    order = net._table.moves  # keyed in sorted order
-    later = net._table.later if steps else {}
-    # What each enabled transition takes from a node and puts back (refilled
-    # per node in dependency mode).  A step's members are independent and
-    # enabled, so no member's postset meets another's preset: the step's
-    # successor is the node less all taken plus all put tokens.
-    effect = {} if dependency else {t: (pre[t], post[t]) for t in order}
+    later = table.later if steps else {}
+    # What each enabled transition takes from a node and puts back: tokens
+    # (refilled per node in dependency mode) or place masks.  A step's members
+    # are independent and enabled, so no member's postset meets another's
+    # preset: the step's successor is the node less all taken plus all put.
+    # ``before - took`` is set difference on masks too, since whatever a
+    # covered transition takes is marked.
+    effect = {} if dependency else {t: move[2:4] for t, move in table.moves.items()}
 
     # The steps at node i, as sorted tuples in lexicographic order, recorded
     # one at a time rather than collected first: loops(12) has 4095 at a node.
-    def grow(i: int, members: list[str], before: frozenset, candidates: list[str]):
+    def grow(i: int, members: list[str], before, candidates: list[str]):
         for k, t in enumerate(candidates):
             took, put = effect[t]
-            after = (before - took) | put
+            after = before - took | put
             members.append(t)
             add_edge(i, tuple(members), after)
             independent = later[t]
@@ -281,23 +282,26 @@ def explore_reachable(
             members.pop()
 
     for i, m in enumerate(nodes):  # the BFS queue: nodes are appended in discovery order
-        places = m.places if dependency else m
-        tokens = m.tokens if dependency else m
-        enabled = [t for t in order if pre[t] <= places]  # without steps, contact raises below
-        if steps:
-            enabled = [t for t in enabled if _enabled(net, places, t)]
         if dependency:
-            at = {tok.place: tok for tok in tokens}
-            for t in enabled:
-                effect[t] = _effect(net, at, t)
+            at = {tok.place: tok for tok in m.tokens}
+            marked, tokens = table.mask(at), m.tokens
+        else:
+            marked = tokens = m
+        covered = table.covered(marked)
         if steps:
+            enabled = [t for t, contact, _ in covered if not contact]
+            if dependency:
+                for t in enabled:
+                    effect[t] = _effect(net, at, t)
             grow(i, [], tokens, enabled)
             continue
-        for t in enabled:
-            if contact := (places - pre[t]) & post[t]:
-                raise ContactError(t, min(contact), places)
-            took, put = effect[t]
-            add_edge(i, (t,), (tokens - took) | put)
+        for t, contact, _ in covered:
+            if contact:
+                raise ContactError(t, min(table.marking(contact)), table.marking(marked))
+            took, put = _effect(net, at, t) if dependency else effect[t]
+            add_edge(i, (t,), tokens - took | put)
+    if not dependency:
+        nodes = [table.marking(m) for m in nodes]
     return ReachGraph(
         dependency=dependency,
         nodes=nodes,

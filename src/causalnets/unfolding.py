@@ -57,7 +57,7 @@ class _Prefix:
 
     def __init__(self, net: LabelledNet):
         self.net = net
-        self.moves = net._table.moves  # t -> sorted preset, postset, pure postset; visibility
+        self.moves = net._table.moves  # t -> sorted preset, postset, their masks; visibility
         self.cond_place: list[str] = sorted(net.initial_marking)
         self.cond_producer: list[int | None] = [None] * len(self.cond_place)
         self.index: dict[tuple, int] = {}
@@ -74,7 +74,7 @@ class _Prefix:
 
     def add_event(self, key: tuple, t: str, chosen: tuple[int, ...]) -> int:
         e = len(self.trans)
-        _, places, _, visible = self.moves[t]
+        _, places, _, _, visible = self.moves[t]
         vpast = depth = 0
         for c in chosen:
             p = self.cond_producer[c]
@@ -122,20 +122,22 @@ class Process:
 
     ``config`` has bit ``e`` set for each prefix event ``e`` in the process;
     ``end`` maps each place marked at the end of the process to the prefix
-    condition on it (the net is 1-safe, so there is at most one).
+    condition on it (the net is 1-safe, so there is at most one), and
+    ``marked`` is the table mask of those places.
     Instances are immutable; extension produces a new process sharing the
     prefix.  ``key`` is a structural fingerprint: two processes of the same
     net, built by separate calls or not, are isomorphic as folded occurrence
     nets exactly when their keys are equal.
     """
 
-    __slots__ = ("prefix", "config", "end", "visible_count", "event_count", "_key")
+    __slots__ = ("prefix", "config", "end", "marked", "visible_count", "event_count", "_key")
 
-    def __init__(self, prefix: _Prefix, config: int, end: dict[str, int],
+    def __init__(self, prefix: _Prefix, config: int, end: dict[str, int], marked: int,
                  visible_count: int, event_count: int):
         self.prefix = prefix
         self.config = config
         self.end = end
+        self.marked = marked
         self.visible_count = visible_count
         self.event_count = event_count
         self._key = None
@@ -155,28 +157,21 @@ def initial_process(net: LabelledNet) -> Process:
     """The process with one condition per initially marked place and no
     events, on a new prefix that the processes extended from it share."""
     prefix = _Prefix(net)
-    return Process(prefix, 0, {place: c for c, place in enumerate(prefix.cond_place)}, 0, 0)
+    end = {place: c for c, place in enumerate(prefix.cond_place)}
+    return Process(prefix, 0, end, net._table.mask(end), 0, 0)
 
 
-def _extension(process: Process, t: str) -> int | None:
-    """The prefix event of one more ``t`` at the process end, added to the
-    prefix if new, or None when the end cannot supply ``t``'s preset.
-
-    Raises ContactError when ``t`` would put a second token on a place."""
+def _extension(process: Process, t: str, contact: int) -> int:
+    """The prefix event of one more ``t``, whose preset the process end
+    covers, added to the prefix if new.  ``contact`` is the mask
+    ``net._table.covered`` gives ``t``: ContactError when it is nonzero."""
     prefix = process.prefix
-    pre, _, pure_post, _ = prefix.moves[t]
-    end = process.end
-    chosen = []
-    for place in pre:
-        c = end.get(place)
-        if c is None:
-            return None
-        chosen.append(c)
-    for place in pure_post:
-        if place in end:
-            raise ContactError(t, place, frozenset(end))
+    if contact:
+        table = prefix.net._table
+        raise ContactError(t, min(table.marking(contact)), table.marking(process.marked))
+    chosen = tuple([process.end[place] for place in prefix.moves[t][0]])
     if chosen:
-        key = (t, tuple(chosen))
+        key = (t, chosen)
     else:
         # input-less events are interchangeable; number them per transition
         occurrences = prefix.inputless.setdefault(t, [])
@@ -185,18 +180,18 @@ def _extension(process: Process, t: str) -> int | None:
             n += 1
         key = (t, n)
     e = prefix.index.get(key)
-    return prefix.add_event(key, t, tuple(chosen)) if e is None else e
+    return prefix.add_event(key, t, chosen) if e is None else e
 
 
 def _extend(process: Process, e: int) -> Process:
     prefix = process.prefix
     t = prefix.trans[e]
-    pre, post, _, visible = prefix.moves[t]
+    pre, post, took, put, visible = prefix.moves[t]
     end = dict(process.end)
     for place in pre:
         del end[place]
     end.update(zip(post, prefix.post[e]))
-    return Process(prefix, process.config | 1 << e, end,
+    return Process(prefix, process.config | 1 << e, end, process.marked - took | put,
                    process.visible_count + visible, process.event_count + 1)
 
 
@@ -207,14 +202,16 @@ def extend_process(net: LabelledNet, process: Process, t: str) -> Process | None
     the firing would put a second token on a place (the net has contact)."""
     if t not in net.transitions:
         raise UnknownElementError(f"unknown transition {t!r}")
-    e = _extension(process, t)
-    return None if e is None else _extend(process, e)
+    for u, contact, _ in net._table.covered(process.marked):
+        if u == t:
+            return _extend(process, _extension(process, t, contact))
+    return None
 
 
 def is_maximal(net: LabelledNet, process: Process) -> bool:
     """True when the process end covers no transition's preset; a firing
     that would put a second token on a place still counts as covered."""
-    return not any(net._preset[t] <= process.end.keys() for t in net.transitions)
+    return not net._table.covered(process.marked)
 
 
 class ProcessEntry(NamedTuple):
@@ -255,24 +252,21 @@ def enumerate_processes(
         raise ValueError("event_limit must be nonnegative")
     if process_limit is not None and process_limit < 1:
         raise ValueError("process_limit must be at least 1")
-    # a queued process comes with the mask of its marked places, so only a
-    # transition whose preset mask it covers is passed to _extension; that
-    # raises on contact, so a child's marked places are marked & ~pre | post
-    bit, rows = net._table.bit, net._table.rows
-    start = initial_process(net)
+    table = net._table
+    covered: dict[int, list] = {}  # marked mask -> table.covered of it, for this call
     seen = {0}
-    queue = deque([(start, sum(bit[p] for p in start.end))])
+    queue = deque([initial_process(net)])
     entries: list[ProcessEntry] = []
     while queue:
-        process, marked = queue.popleft()
-        saturated = covered = False
-        for t, pre, post, visible in rows:
-            if pre & ~marked:
-                continue
-            covered = True
+        process = queue.popleft()
+        saturated = False
+        moves = covered.get(process.marked)
+        if moves is None:
+            moves = covered[process.marked] = table.covered(process.marked)
+        for t, contact, visible in moves:
             if visible and process.visible_count >= visible_bound:
                 continue
-            e = _extension(process, t)
+            e = _extension(process, t, contact)
             if process.event_count + 1 > event_limit:
                 saturated = True
                 continue
@@ -282,8 +276,8 @@ def enumerate_processes(
             if process_limit is not None and len(seen) >= process_limit:
                 raise LimitExceededError(f"process limit {process_limit} exceeded")
             seen.add(config)
-            queue.append((_extend(process, e), marked & ~pre | post))
-        entries.append(ProcessEntry(process, not covered, saturated))
+            queue.append(_extend(process, e))
+        entries.append(ProcessEntry(process, not moves, saturated))
     return entries
 
 
@@ -372,16 +366,9 @@ def canonicalize(labels: Sequence[str], order: Iterable[tuple[int, int]]) -> Pom
     for u, v in sorted(order, key=lambda pair: indeg[pair[0]]):
         if depth[u] >= depth[v]:
             depth[v] = depth[u] + 1
-    colours = {i: (depth[i], labels[i], indeg[i], above[i].bit_count()) for i in range(n)}
-    pomset = _discrete(colours, set(order))
-    if pomset is not None:
-        return pomset
-    initial = dense(list(colours.values()))
-    pred: list[set[int]] = [set() for _ in range(n)]
-    succ: list[set[int]] = [set() for _ in range(n)]
-    for u, v in order:
-        pred[v].add(u)
-        succ[u].add(v)
+    initial = dense([(depth[i], labels[i], indeg[i], above[i].bit_count()) for i in range(n)])
+    pred = [list(_bits(m)) for m in below]
+    succ = [list(_bits(m)) for m in above]
 
     def refine(colors: list[int]) -> list[int]:
         while True:

@@ -37,7 +37,8 @@ def test_reach_graph_has_no_index():
 
 
 def test_process_has_no_end_marking():
-    # the end marking is the keys of ``Process.end``; maximality reads them
+    # the end marking is the keys of ``Process.end``; maximality reads its
+    # mask ``Process.marked``
     assert not hasattr(cn.Process, "end_marking")
 
 
@@ -92,3 +93,9 @@ def test_preset_sharing_is_read_from_the_table():
 def test_prefix_moves_are_the_table_entry():
     net = cn.builtin("centralised")
     assert cn.initial_process(net).prefix.moves is net._table.moves
+
+
+def test_one_firing_rule():
+    # every enabledness reader calls ``net._table.covered`` on a place mask
+    assert not hasattr(model, "_enabled")
+    assert not hasattr(cn.builtin("centralised")._table, "rows")

@@ -185,16 +185,17 @@ def test_interleaving_search_stops_where_old_search_does():
 
 
 def test_contact_error_keeps_the_place():
-    # t would put a second token on r and on s: the interleaving search names
-    # the least place in contact, a process extension the first marked place
-    # of t's sorted pure postset
+    # t would put a second token on r and on s: the interleaving search, in
+    # either mode, and a process extension name the least place in contact
     net = cn.make_net(["p", "q", "r", "s"], ["t"],
                       [("p", "t"), ("t", "q"), ("t", "r"), ("t", "s")], ["p", "r", "s"])
     for refuse in (lambda: cn.explore_reachable(net, False, steps=False),
+                   lambda: cn.explore_reachable(net, True, steps=False),
                    lambda: cn.extend_process(net, cn.initial_process(net), "t")):
         with pytest.raises(cn.ContactError, match="place r$") as refusal:
             refuse()
         assert (refusal.value.transition, refusal.value.place) == ("t", "r")
+        assert refusal.value.marking == {"p", "r", "s"}
 
 
 def test_marking_verdicts_refuse_contact():

@@ -1,6 +1,7 @@
 """Net model: parsing, serialization, pre/post sets, the transition table, contact-freeness."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,12 +190,17 @@ class TestTable:
             def mask(ps):
                 return sum(2 ** places.index(p) for p in ps)
 
+            assert table.places == tuple(places)
             assert table.bit == {p: 2 ** places.index(p) for p in places}
             assert list(table.moves) == ts
             assert table.moves == {
                 t: (tuple(sorted(pre[t])), tuple(sorted(post[t])),
-                    tuple(sorted(post[t] - pre[t])), visible[t]) for t in ts}
-            assert table.rows == tuple((t, mask(pre[t]), mask(post[t]), visible[t]) for t in ts)
+                    mask(pre[t]), mask(post[t]), visible[t]) for t in ts}
+            for m in (frozenset(c) for r in range(len(places) + 1)
+                      for c in combinations(places, r)):
+                assert table.mask(m) == mask(m) and table.marking(mask(m)) == m
+                assert table.covered(mask(m)) == [
+                    (t, mask((m - pre[t]) & post[t]), visible[t]) for t in ts if pre[t] <= m]
             assert table.later == {
                 t: {u for u in ts if t < u and not pre[t] & pre[u] and not post[t] & post[u]}
                 for t in ts}
