@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .model import DEFAULT_STATE_LIMIT, LabelledNet
-from .semantics import _bfs_tree, _path, explore_reachable
+from .semantics import ReachGraph, _bfs_tree, _path, explore_reachable
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,20 @@ class PureMWitness:
     marking: frozenset[str]
 
 
+def _covered(graph: ReachGraph) -> list[list[str]]:
+    """Per node of an interleaving graph, the transitions whose presets it
+    covers, in sorted order: the search gives each of them an edge."""
+    covered: list[list[str]] = [[] for _ in graph.nodes]
+    for e in graph.edges:
+        covered[e.source].extend(e.step)
+    return covered
+
+
 def concurrency_relation(
     net: LabelledNet, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> ConcurrencyRelation:
     """Compute which transition pairs some reachable marking fires together."""
-    graph = explore_reachable(net, False, state_limit, steps=False)
-    enabled: list[list[str]] = [[] for _ in graph.nodes]
-    for e in graph.edges:  # one edge per enabled transition, in sorted order
-        enabled[e.source].extend(e.step)
+    enabled = _covered(explore_reachable(net, False, state_limit, steps=False))
     together = {pair for ts in enabled for pair in combinations(ts, 2)}
     later = net._table.later
     return ConcurrencyRelation(frozenset(frozenset((t, u)) for t, u in together if u in later[t]))
@@ -146,16 +152,16 @@ def find_pure_m(net: LabelledNet, state_limit: int = DEFAULT_STATE_LIMIT) -> lis
     Each witness marking is the first covering marking in the interleaving
     BFS order (sorted transitions), so one with a shortest firing sequence.
     """
-    markings = explore_reachable(net, False, state_limit, steps=False).nodes
+    graph = explore_reachable(net, False, state_limit, steps=False)
     # A pure M is an induced path left - middle - right in the sharing graph.
     adjacency = net._table.sharing
+    triples = [(left, middle, right) for middle in sorted(adjacency)
+               for left, right in combinations(sorted(adjacency[middle]), 2)
+               if right not in adjacency[left]]
+    covered = [frozenset(ts) for ts in _covered(graph)] if triples else []
     out: list[PureMWitness] = []
-    for middle in sorted(adjacency):
-        for left, right in combinations(sorted(adjacency[middle]), 2):
-            if right in adjacency[left]:
-                continue
-            need = net._preset[left] | net._preset[middle] | net._preset[right]
-            covering = next((m for m in markings if need <= m), None)
-            if covering is not None:
-                out.append(PureMWitness(left, middle, right, covering))
+    for triple in triples:
+        covering = next((m for m, ts in zip(graph.nodes, covered) if ts.issuperset(triple)), None)
+        if covering is not None:
+            out.append(PureMWitness(*triple, covering))
     return sorted(out, key=lambda w: (w.left, w.middle, w.right))

@@ -57,11 +57,22 @@ class _Table:
     """What the firing loops read about a net, built once.  ``places`` lists
     the places in sorted order and ``bit`` gives the i-th one bit i; ``moves``
     maps each transition, in sorted order, to its sorted preset and postset,
-    their masks and its visibility.  ``covered`` is the firing rule."""
+    their masks and its visibility.  ``covered`` is the firing rule.
+
+    A dependency marking is coded as one int: each place owns the slot
+    ``full << offset[place]`` of one more bit than there are visible labels,
+    in sorted order, 0 while it is empty and otherwise 1 plus the
+    ``label_bit`` of each label its token depends on, 2 << j for the j-th."""
 
     def __init__(self, net: LabelledNet):
         self.places = tuple(sorted(net.places))
         self.bit = {p: 1 << i for i, p in enumerate(self.places)}
+        self.labelling = net.labelling
+        labels = sorted(net.visible_labels)
+        self.label_bit = {a: 2 << j for j, a in enumerate(labels)}
+        self.full = (2 << len(labels)) - 1
+        self.offset = {p: i * (len(labels) + 1) for i, p in enumerate(self.places)}
+        self.label_sets: dict[int, frozenset[str]] = {}  # the decoder's, per slot value
         self.moves = {}
         for t in sorted(net.transitions):
             pre, post = sorted(net._preset[t]), sorted(net._postset[t])
@@ -73,6 +84,31 @@ class _Table:
 
     def marking(self, mask: int) -> frozenset[str]:
         return frozenset([p for p, b in self.bit.items() if mask & b])
+
+    def encode(self, marking: DependencyMarking) -> int:
+        """The code of a dependency marking."""
+        try:
+            return sum(1 + sum(map(self.label_bit.__getitem__, deps)) << self.offset[p]
+                       for p, deps in marking.tokens)
+        except KeyError:
+            labels = {a for tok in marking.tokens for a in tok.deps} - self.label_bit.keys()
+            places = marking.places - self.offset.keys()
+            raise UnknownElementError(
+                f"unknown places {sorted(places)} or labels {sorted(labels)} in marking") from None
+
+    def decode(self, code: int) -> DependencyMarking:
+        """The dependency marking with this code."""
+        tokens, full, memo = [], self.full, self.label_sets
+        for p, off in self.offset.items():
+            if slot := code >> off & full:
+                if slot not in memo:
+                    memo[slot] = frozenset(a for a, b in self.label_bit.items() if slot & b)
+                tokens.append(DepToken(p, memo[slot]))
+        return DependencyMarking(frozenset(tokens))
+
+    def marked(self, code: int) -> int:
+        """The place mask of what a dependency code marks."""
+        return sum(self.bit[p] for p, off in self.offset.items() if code >> off & 1)
 
     def covered(self, marked: int) -> list[tuple[str, int, bool]]:
         """``(t, contact, visible)`` in sorted order for each transition whose
@@ -89,6 +125,16 @@ class _Table:
         return {t: frozenset(u for u, (_, _, upre, upost, _) in moves[k + 1:]
                              if not (pre & upre or post & upost))
                 for k, (t, (_, _, pre, post, _)) in enumerate(moves)}
+
+    @cached_property
+    def flows(self) -> dict[str, tuple[int, tuple[int, ...], int, int]]:
+        """Per transition: its preset slots as one mask, their offsets, its
+        postset spread (one slot value times the spread is that value in
+        every postset slot, without carries) and its label's bit."""
+        full, offset = self.full, self.offset
+        return {t: (sum(full << offset[p] for p in pre), tuple(offset[p] for p in pre),
+                    sum(1 << offset[s] for s in post), self.label_bit.get(self.labelling[t], 0))
+                for t, (pre, post, *_) in self.moves.items()}
 
     @cached_property
     def sharing(self) -> dict[str, frozenset[str]]:

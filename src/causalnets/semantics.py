@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations, product
 from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -18,7 +19,6 @@ from .model import (
     DEFAULT_STATE_LIMIT,
     TAU,
     ContactError,
-    DepToken,
     DependencyMarking,
     LabelledNet,
     NetError,
@@ -52,7 +52,7 @@ def step_enabled(net: LabelledNet, marking: DependencyMarking, step: Iterable[st
     """True when every member can fire from ``marking`` and no two conflict."""
     G = _as_step(net, step)
     table = net._table
-    covered = table.covered(table.mask(marking.places))
+    covered = table.covered(table.marked(table.encode(marking)))
     fireable = {t for t, contact, _ in covered if not contact}
     return G <= fireable and all(u in table.later[t] for t, u in combinations(sorted(G), 2))
 
@@ -70,25 +70,26 @@ def fire_step(net: LabelledNet, marking: DependencyMarking, step: Iterable[str])
     return _fire(net, marking, G)
 
 
-def _effect(
-    net: LabelledNet, at: Mapping[str, DepToken], t: str
-) -> tuple[frozenset[DepToken], frozenset[DepToken]]:
-    """The tokens ``t`` takes from a marking whose token on each place is
-    ``at[place]``, and the tokens it puts: one per postset place, depending
-    on ``t``'s visible label and on everything the taken tokens depend on."""
-    took = frozenset(at[p] for p in net._preset[t])
-    deps = frozenset({net.labelling[t]} - {TAU}).union(*(tok.deps for tok in took))
-    return took, frozenset(DepToken(s, deps) for s in net._postset[t])
+def _effect(net: LabelledNet, code: int, t: str) -> tuple[int, int]:
+    """What ``t`` takes from the dependency marking with code ``code`` (see
+    ``model._Table``), its preset slots, and what it puts: in every postset
+    slot a token depending on ``t``'s visible label and on everything the
+    taken tokens depend on.  The successor's code is ``code - took | put``."""
+    table = net._table
+    pre, offsets, spread, label = table.flows[t]
+    slot = label | 1
+    for off in offsets:
+        slot |= code >> off
+    return code & pre, (slot & table.full) * spread
 
 
 def _fire(net: LabelledNet, marking: DependencyMarking, G: Iterable[str]) -> DependencyMarking:
     # The members are enabled and independent, so none takes what another puts.
-    at = {tok.place: tok for tok in marking.tokens}
-    tokens = marking.tokens
+    code = net._table.encode(marking)
     for t in G:
-        took, put = _effect(net, at, t)
-        tokens = (tokens - took) | put
-    return DependencyMarking(tokens)
+        took, put = _effect(net, code, t)
+        code = code - took | put
+    return net._table.decode(code)
 
 
 def labelled_step(
@@ -120,7 +121,7 @@ def _tau_closure(net: LabelledNet, markings: Iterable[DependencyMarking]) -> set
     stack = list(seen)
     while stack:
         m = stack.pop()
-        for t, contact, visible in table.covered(table.mask(m.places)):
+        for t, contact, visible in table.covered(table.marked(table.encode(m))):
             if not (visible or contact):
                 m2 = _fire(net, m, (t,))
                 if m2 not in seen:
@@ -204,9 +205,15 @@ class ReachGraph:
             bodies = [node.text() for node in self.nodes]
         else:
             bodies = [" ; ".join(sorted(node)) for node in self.nodes]
-        rows = sorted((e.source, e.target, e.step) for e in self.edges)
-        return bodies, [(i, ",".join(g), ",".join(sorted(self.labelling[t] for t in g)), j)
-                        for i, j, g in rows]
+        # Each distinct step's sorted labels are built once, keyed by its ids:
+        # a string keeps its hash, so a new step is hashed once, not twice.
+        labelling, shown, rows = self.labelling, {}, []
+        for i, j, g in sorted((e.source, e.target, e.step) for e in self.edges):
+            ids = ",".join(g)
+            if (labels := shown.get(ids)) is None:
+                labels = shown[ids] = ",".join(sorted([labelling[t] for t in g]))
+            rows.append((i, ids, labels, j))
+        return bodies, rows
 
     def to_text(self) -> str:
         bodies, edges = self.fields()
@@ -238,70 +245,65 @@ def explore_reachable(
     if state_limit < 1:
         raise ValueError("state_limit must be at least 1")
     table = net._table
-    root = initial_dependency_marking(net) if dependency else table.mask(net.initial_marking)
+    # Nodes are dependency codes or place masks until they are decoded at the end.
+    root = (table.encode(initial_dependency_marking(net)) if dependency
+            else table.mask(net.initial_marking))
     nodes = [root]
-    # Successors are looked up by their token set or place mask; a
-    # DependencyMarking, and with it the one-token-per-place check, is built
-    # only for a new node, and plain nodes become frozensets at the end.
-    seen = {root.tokens if dependency else root: 0}
+    seen = {root: 0}
     edges: list[ReachEdge] = []
+    get, append = seen.get, edges.append
+    new_edge = partial(tuple.__new__, ReachEdge)  # skips the named tuple's Python-level __new__
     limit_exceeded = False
 
-    def add_edge(i: int, g: tuple[str, ...], after):
+    def add_node(after: int) -> int | None:
         nonlocal limit_exceeded
-        j = seen.get(after)
-        if j is None:
-            if len(nodes) >= state_limit:
-                if not steps:
-                    raise LimitExceededError(f"state limit {state_limit} exceeded")
-                limit_exceeded = True
-                return
-            j = seen[after] = len(nodes)
-            nodes.append(DependencyMarking(after) if dependency else after)
-        edges.append(ReachEdge(i, g, j))
+        if len(nodes) >= state_limit:
+            if not steps:
+                raise LimitExceededError(f"state limit {state_limit} exceeded")
+            limit_exceeded = True
+            return None
+        j = seen[after] = len(nodes)
+        nodes.append(after)
+        return j
 
     later = table.later if steps else {}
-    # What each enabled transition takes from a node and puts back: tokens
-    # (refilled per node in dependency mode) or place masks.  A step's members
-    # are independent and enabled, so no member's postset meets another's
-    # preset: the step's successor is the node less all taken plus all put.
-    # ``before - took`` is set difference on masks too, since whatever a
-    # covered transition takes is marked.
-    effect = {} if dependency else {t: move[2:4] for t, move in table.moves.items()}
+    # What each enabled transition takes and puts: fixed place masks, or per node
+    # ``_effect``'s.  A step's members are independent and enabled, so none puts
+    # on another's preset: the successor is the node less all taken plus all put.
+    effect = {t: move[2:4] for t, move in table.moves.items()}
 
     # The steps at node i, as sorted tuples in lexicographic order, recorded
     # one at a time rather than collected first: loops(12) has 4095 at a node.
-    def grow(i: int, members: list[str], before, candidates: list[str]):
+    def grow(i: int, g: tuple[str, ...], before: int, candidates: list[str]):
+        last = len(candidates) - 1
         for k, t in enumerate(candidates):
             took, put = effect[t]
             after = before - took | put
-            members.append(t)
-            add_edge(i, tuple(members), after)
-            independent = later[t]
-            grow(i, members, after, [u for u in candidates[k + 1:] if u in independent])
-            members.pop()
+            step = g + (t,)
+            j = get(after)
+            if j is None:
+                j = add_node(after)
+            if j is not None:
+                append(new_edge((i, step, j)))
+            if k < last and (rest := [*filter(later[t].__contains__, candidates[k + 1:])]):
+                grow(i, step, after, rest)
 
-    for i, m in enumerate(nodes):  # the BFS queue: nodes are appended in discovery order
-        if dependency:
-            at = {tok.place: tok for tok in m.tokens}
-            marked, tokens = table.mask(at), m.tokens
-        else:
-            marked = tokens = m
+    for i, code in enumerate(nodes):  # the BFS queue: nodes are appended in discovery order
+        marked = table.marked(code) if dependency else code
         covered = table.covered(marked)
+        if dependency:
+            effect = {t: _effect(net, code, t) for t, contact, _ in covered if not contact}
         if steps:
-            enabled = [t for t, contact, _ in covered if not contact]
-            if dependency:
-                for t in enabled:
-                    effect[t] = _effect(net, at, t)
-            grow(i, [], tokens, enabled)
+            grow(i, (), code, [t for t, contact, _ in covered if not contact])
             continue
         for t, contact, _ in covered:
             if contact:
                 raise ContactError(t, min(table.marking(contact)), table.marking(marked))
-            took, put = _effect(net, at, t) if dependency else effect[t]
-            add_edge(i, (t,), tokens - took | put)
-    if not dependency:
-        nodes = [table.marking(m) for m in nodes]
+            took, put = effect[t]
+            after = code - took | put
+            j = get(after)
+            append(new_edge((i, (t,), add_node(after) if j is None else j)))
+    nodes = [table.decode(m) if dependency else table.marking(m) for m in nodes]
     return ReachGraph(
         dependency=dependency,
         nodes=nodes,
@@ -373,14 +375,24 @@ def check_cycle_dependency(net: LabelledNet, graph: ReachGraph) -> list[CycleVio
     adjacency: dict[int, set[int]] = {}
     for e in graph.edges:
         adjacency.setdefault(e.source, set()).add(e.target)
+    table = net._table
+    codes: dict[int, int] = {}  # each source encoded once, when first needed
+
+    def violates(i: int, t: str) -> bool:  # some taken slot differs from the one put slot value
+        _, offsets, spread, label = table.flows[t]
+        if not spread or not label and len(offsets) < 2:
+            return False  # puts nothing, or invisibly puts back the one token it took
+        if i not in codes:
+            codes[i] = table.encode(graph.nodes[i])
+        took, put = _effect(net, codes[i], t)
+        return took != sum(put // spread << off for off in offsets)
+
     flagged: dict[tuple[int, str], bool] = {}  # (node, transition) -> violates
     bad: dict[int, set[tuple[int, str]]] = {}  # target -> (source, violating transition)
     for e in graph.edges:
         for t in e.step:
             if (e.source, t) not in flagged:
-                at = {tok.place: tok for tok in graph.nodes[e.source].tokens}
-                took, put = _effect(net, at, t)
-                flagged[e.source, t] = any(a.deps != b.deps for a in took for b in put)
+                flagged[e.source, t] = violates(e.source, t)
             if flagged[e.source, t]:
                 bad.setdefault(e.target, set()).add((e.source, t))
     violations = []

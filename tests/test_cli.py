@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from causalnets.cli import _COMMANDS, main
-from causalnets.model import check_contact_free, make_net, serialize_net
+from causalnets.model import (
+    DependencyMarking, DepToken, check_contact_free, make_net, serialize_net,
+)
 from causalnets.transforms import BUILTIN_NAMES
 
 from helpers import loops, random_net, rings
@@ -183,6 +185,29 @@ class TestReach:
             code, out, _ = run(capsys, "reach", path, "--format", fmt, *flags)
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, mode, fmt)
+
+    def test_wide_dependency_codes_bytes_pinned(self, capsys, tmp_path):
+        # Six visible one-shots labelled in reverse of their transition
+        # order: a dependency marking's code (12 slots of 7 bits) passes 64
+        # bits.  SHA-256 of the bytes printed while dependency markings were
+        # token sets.
+        ps, qs, ts = ([f"{x}{i:02d}" for i in range(6)] for x in "pqt")
+        built = make_net(ps + qs, ts, list(zip(ps, ts)) + list(zip(ts, qs)), ps,
+                         {t: f"a{5 - i:02d}" for i, t in enumerate(ts)})
+        done = DependencyMarking(frozenset(DepToken(q, frozenset({f"a{5 - i:02d}"}))
+                                           for i, q in enumerate(qs)))
+        assert built._table.encode(done) >= 2 ** 64
+        path = tmp_path / "wide.net"
+        path.write_text(serialize_net(built), encoding="utf-8")
+        pinned = {
+            "human": "2952b03ebba78a051578b1fd8d24db8ac5d86f41f241d62b88d12bc0034e0347",
+            "tsv": "4155b8091493fe03b1847816282499c6fe6ee31868b048d1139669eff8ee53ec",
+        }
+        for fmt, digest in pinned.items():
+            code, out, _ = run(capsys, "reach", str(path), "--dependency", "--format", fmt)
+            assert code == 0
+            assert f"{done.text()}\n" in out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
 class TestDistributed:

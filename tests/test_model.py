@@ -1,6 +1,7 @@
 """Net model: parsing, serialization, pre/post sets, the transition table, contact-freeness."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -10,7 +11,8 @@ import causalnets as cn
 from causalnets.model import NetParseError, UnknownElementError
 
 from helpers import (
-    brute_force_contact_free, loops, net_end, occ_net, process_of_run, random_net, rings,
+    brute_force_contact_free, loops, net_end, occ_net, oracle_fire, oracle_step_enabled,
+    process_of_run, random_net, rings, tokens_of,
 )
 
 FIG2_TEXT = """\
@@ -30,6 +32,10 @@ arc c -> q
 
 def fig2():
     return cn.builtin("repeated_pure_m")
+
+
+def dm(*tokens):
+    return cn.DependencyMarking(frozenset(cn.DepToken(p, frozenset(deps)) for p, deps in tokens))
 
 
 class TestParse:
@@ -217,6 +223,49 @@ class TestTable:
         net = cn.builtin("centralised")
         assert net._table is net._table
         assert net._table.later is net._table.later and net._table.sharing is net._table.sharing
+
+
+class TestDependencyCode:
+    """A dependency marking as one int, against a transcription of the layout:
+    the i-th sorted place owns bits i * w to i * w + w - 1, w being one more
+    than the number of visible labels; its slot is 0 while it is empty and
+    otherwise 1 plus 2 << j for the j-th sorted visible label its token
+    depends on."""
+
+    def test_round_trip_layout_and_effect(self):
+        rng = random.Random(43)
+        nets = [cn.builtin(name) for name in cn.BUILTIN_NAMES]
+        nets += [random_net(rng) for _ in range(200)]
+        fired = 0
+        for net in nets:
+            table = net._table
+            places, labels = sorted(net.places), sorted(net.visible_labels)
+            width = len(labels) + 1
+            graph = cn.explore_reachable(net, dependency=True, state_limit=10**4)
+            codes = [table.encode(m) for m in graph.nodes]
+            assert len(set(codes)) == len(codes)
+            for m, code in zip(graph.nodes, codes):
+                assert code == sum(
+                    1 + sum(2 << labels.index(a) for a in tok.deps) << places.index(tok.place) * width
+                    for tok in m.tokens)
+                assert table.decode(code) == m
+                assert table.marked(code) == table.mask(m.places)
+                for t in sorted(net.transitions):
+                    if oracle_step_enabled(net, tokens_of(m), {t}):
+                        took, put = cn.semantics._effect(net, code, t)
+                        after = table.decode(code - took | put)
+                        assert tokens_of(after) == oracle_fire(net, tokens_of(m), {t})
+                        fired += 1
+        assert fired >= 500
+
+    def test_unknown_places_and_labels_named(self):
+        table = fig2()._table
+        with pytest.raises(UnknownElementError,
+                           match=re.escape("unknown places ['zz'] or labels [] in marking")):
+            table.encode(dm(("p", "a"), ("zz", "")))
+        with pytest.raises(UnknownElementError, match=re.escape(
+                "unknown places ['zz'] or labels ['tau', 'x'] in marking")):
+            table.encode(dm(("p", "x"), ("zz", ("tau",))))
 
 
 class TestNetEnd:

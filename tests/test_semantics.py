@@ -1,6 +1,7 @@
 """Dependency-step execution, reachability graphs, cycle dependency checks."""
 
 import random
+import re
 from collections import deque
 from itertools import combinations, product
 
@@ -12,6 +13,8 @@ from causalnets.model import DepToken, DependencyMarking
 from helpers import (
     DependencyClass,
     NotACycleError,
+    _post,
+    _pre,
     brute_force_cycle_violations,
     dependency_classes,
     deps_at,
@@ -31,7 +34,8 @@ from helpers import (
 def per_edge_cycle_search(net, graph):
     """``check_cycle_dependency`` as it was written with one breadth-first
     search per edge with a violating transition, from the edge's target and
-    stopping at its source."""
+    stopping at its source; a transition violates when some dependency set
+    it takes differs from one it puts, both read off ``oracle_fire``."""
     adjacency = {}
     for e in graph.edges:
         adjacency.setdefault(e.source, set()).add(e.target)
@@ -54,9 +58,14 @@ def per_edge_cycle_search(net, graph):
 
     violations = set()
     for e in graph.edges:
-        at = {tok.place: tok for tok in graph.nodes[e.source].tokens}
-        bad = [t for t in e.step
-               if any(a.deps != b.deps for a, b in product(*cn.semantics._effect(net, at, t)))]
+        tokens = tokens_of(graph.nodes[e.source])
+        bad = []
+        for t in e.step:
+            # the token-level transcription of the firing rule, not the library's
+            took = {deps for p, deps in tokens if p in _pre(net, t)}
+            put = {deps for p, deps in oracle_fire(net, tokens, {t}) if p in _post(net, t)}
+            if any(a != b for a, b in product(took, put)):
+                bad.append(t)
         if bad and (back := shortest_path(e.target, e.source)) is not None:
             violations.update(cn.CycleViolation((e.source, *back[:-1]), t) for t in bad)
     return sorted(violations, key=lambda v: (v.cycle, v.transition))
@@ -137,6 +146,27 @@ class TestWeakStep:
 
     def test_nothing_after_sink(self):
         assert cn.weak_step(fig2(), M0, ["b", "a"]) == set()
+
+
+class TestUnknownMarkingElements:
+    """A marking naming a place or a dependency label the net lacks is
+    refused with UnknownElementError, which names them."""
+
+    CALLS = {
+        "step_enabled": lambda net, m: cn.step_enabled(net, m, {"a"}),
+        "fire_step": lambda net, m: cn.fire_step(net, m, {"a"}),
+        "weak_step": lambda net, m: cn.weak_step(net, m, ["a"]),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("marking, message", [
+        (dm(("p", ""), ("zz", "")), "unknown places ['zz'] or labels [] in marking"),
+        (dm(("p", "x"), ("q", "")), "unknown places [] or labels ['x'] in marking"),
+        (dm(("p", ""), ("q", ("tau",))), "unknown places [] or labels ['tau'] in marking"),
+    ], ids=["place", "label", "tau"])
+    def test_named(self, call, marking, message):
+        with pytest.raises(cn.UnknownElementError, match=f"^{re.escape(message)}$"):
+            self.CALLS[call](fig2(), marking)
 
 
 class TestExploreReachable:
@@ -260,9 +290,9 @@ class TestCycleDependency:
         calls = []
         effect = cn.semantics._effect
 
-        def counted(net, at, t):
-            calls.append((frozenset(at.values()), t))
-            return effect(net, at, t)
+        def counted(net, code, t):
+            calls.append((code, t))
+            return effect(net, code, t)
 
         monkeypatch.setattr(cn.semantics, "_effect", counted)
         assert cn.check_cycle_dependency(net, graph) == []
