@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 TAU = "tau"
 
@@ -59,20 +59,20 @@ class _Table:
     maps each transition, in sorted order, to its sorted preset and postset,
     their masks and its visibility.  ``covered`` is the firing rule.
 
-    A dependency marking is coded as one int: each place owns the slot
-    ``full << offset[place]`` of one more bit than there are visible labels,
-    in sorted order, 0 while it is empty and otherwise 1 plus the
-    ``label_bit`` of each label its token depends on, 2 << j for the j-th."""
+    A dependency marking is coded as one int, read only by this class: its
+    place mask, and above it per place in sorted order a field of ``|visible
+    labels|`` bits at ``offset[place]`` holding the ``label_bit`` (1 << j for
+    the j-th label) of each label its token depends on."""
 
     def __init__(self, net: LabelledNet):
         self.places = tuple(sorted(net.places))
         self.bit = {p: 1 << i for i, p in enumerate(self.places)}
         self.labelling = net.labelling
         labels = sorted(net.visible_labels)
-        self.label_bit = {a: 2 << j for j, a in enumerate(labels)}
-        self.full = (2 << len(labels)) - 1
-        self.offset = {p: i * (len(labels) + 1) for i, p in enumerate(self.places)}
-        self.label_sets: dict[int, frozenset[str]] = {}  # the decoder's, per slot value
+        self.label_bit = {a: 1 << j for j, a in enumerate(labels)}
+        self.full = (1 << len(labels)) - 1
+        self.offset = {p: len(self.places) + i * len(labels) for i, p in enumerate(self.places)}
+        self.label_sets: dict[int, frozenset[str]] = {}  # the decoder's, per field value
         self.moves = {}
         for t in sorted(net.transitions):
             pre, post = sorted(net._preset[t]), sorted(net._postset[t])
@@ -83,38 +83,35 @@ class _Table:
         return sum(self.bit[p] for p in places)
 
     def marking(self, mask: int) -> frozenset[str]:
+        """The places a place mask, or a dependency code, marks."""
         return frozenset([p for p, b in self.bit.items() if mask & b])
 
     def encode(self, marking: DependencyMarking) -> int:
         """The code of a dependency marking."""
         try:
-            return sum(1 + sum(map(self.label_bit.__getitem__, deps)) << self.offset[p]
+            return sum(self.bit[p] | sum(map(self.label_bit.__getitem__, deps)) << self.offset[p]
                        for p, deps in marking.tokens)
         except KeyError:
             labels = {a for tok in marking.tokens for a in tok.deps} - self.label_bit.keys()
-            places = marking.places - self.offset.keys()
+            places = marking.places - self.bit.keys()
             raise UnknownElementError(
                 f"unknown places {sorted(places)} or labels {sorted(labels)} in marking") from None
 
     def decode(self, code: int) -> DependencyMarking:
         """The dependency marking with this code."""
         tokens, full, memo = [], self.full, self.label_sets
-        for p, off in self.offset.items():
-            if slot := code >> off & full:
-                if slot not in memo:
-                    memo[slot] = frozenset(a for a, b in self.label_bit.items() if slot & b)
-                tokens.append(DepToken(p, memo[slot]))
+        for p, b in self.bit.items():
+            if code & b:
+                if (deps := code >> self.offset[p] & full) not in memo:
+                    memo[deps] = frozenset(a for a, j in self.label_bit.items() if deps & j)
+                tokens.append(DepToken(p, memo[deps]))
         return DependencyMarking(frozenset(tokens))
-
-    def marked(self, code: int) -> int:
-        """The place mask of what a dependency code marks."""
-        return sum(self.bit[p] for p, off in self.offset.items() if code >> off & 1)
 
     def covered(self, marked: int) -> list[tuple[str, int, bool]]:
         """``(t, contact, visible)`` in sorted order for each transition whose
-        preset the place mask ``marked`` covers; ``contact`` masks its pure
-        postset places that are marked already.  ``t`` may fire exactly when
-        ``contact`` is 0: otherwise it would put a second token on a place."""
+        preset the place mask (or dependency code) ``marked`` covers; ``contact``
+        masks its pure postset places that are marked already.  ``t`` may fire
+        exactly when ``contact`` is 0: otherwise it would put a second token."""
         return [(t, marked - pre & post, visible)  # marked - pre: pre is marked
                 for t, (_, _, pre, post, visible) in self.moves.items() if pre & marked == pre]
 
@@ -127,14 +124,34 @@ class _Table:
                 for k, (t, (_, _, pre, post, _)) in enumerate(moves)}
 
     @cached_property
-    def flows(self) -> dict[str, tuple[int, tuple[int, ...], int, int]]:
-        """Per transition: its preset slots as one mask, their offsets, its
-        postset spread (one slot value times the spread is that value in
-        every postset slot, without carries) and its label's bit."""
+    def flows(self) -> dict[str, tuple[int, tuple[int, ...], int, int, int]]:
+        """Per transition: its preset's bits and fields as one mask, the fields'
+        offsets, its postset mask and spread (a field value times the spread
+        is that value in every postset field) and its label's bit."""
         full, offset = self.full, self.offset
-        return {t: (sum(full << offset[p] for p in pre), tuple(offset[p] for p in pre),
-                    sum(1 << offset[s] for s in post), self.label_bit.get(self.labelling[t], 0))
-                for t, (pre, post, *_) in self.moves.items()}
+        return {t: (pre_mask | sum(full << offset[p] for p in pre), tuple(offset[p] for p in pre),
+                    post_mask, sum(1 << offset[s] for s in post),
+                    self.label_bit.get(self.labelling[t], 0))
+                for t, (pre, post, pre_mask, post_mask, _) in self.moves.items()}
+
+    def effect(self, code: int, t: str) -> tuple[int, int]:
+        """What enabled ``t`` takes from the dependency code ``code`` and what
+        it puts: tokens depending on its visible label and on all the taken
+        ones depend on.  The successor's code is ``code - took | put``."""
+        take, offsets, post, spread, deps = self.flows[t]
+        for off in offsets:
+            deps |= code >> off
+        return code & take, post | (deps & self.full) * spread
+
+    def keeps(self, t: str, code: Callable[[], int]) -> bool:
+        """Whether ``t``, enabled at the dependency code ``code()``, puts only
+        tokens depending on just what each taken one depends on; ``code`` is
+        called only when that can fail."""
+        _, offsets, post, spread, label = self.flows[t]
+        if not post or not label and len(offsets) < 2:
+            return True  # puts nothing, or invisibly puts back the one token it took
+        took, put = self.effect(code(), t)
+        return all(took >> off & self.full == put // spread for off in offsets)
 
     @cached_property
     def sharing(self) -> dict[str, frozenset[str]]:

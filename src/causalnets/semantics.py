@@ -23,7 +23,6 @@ from .model import (
     LabelledNet,
     NetError,
     UnknownElementError,
-    initial_dependency_marking,
 )
 
 T = TypeVar("T")
@@ -52,7 +51,7 @@ def step_enabled(net: LabelledNet, marking: DependencyMarking, step: Iterable[st
     """True when every member can fire from ``marking`` and no two conflict."""
     G = _as_step(net, step)
     table = net._table
-    covered = table.covered(table.marked(table.encode(marking)))
+    covered = table.covered(table.encode(marking))
     fireable = {t for t, contact, _ in covered if not contact}
     return G <= fireable and all(u in table.later[t] for t, u in combinations(sorted(G), 2))
 
@@ -70,24 +69,11 @@ def fire_step(net: LabelledNet, marking: DependencyMarking, step: Iterable[str])
     return _fire(net, marking, G)
 
 
-def _effect(net: LabelledNet, code: int, t: str) -> tuple[int, int]:
-    """What ``t`` takes from the dependency marking with code ``code`` (see
-    ``model._Table``), its preset slots, and what it puts: in every postset
-    slot a token depending on ``t``'s visible label and on everything the
-    taken tokens depend on.  The successor's code is ``code - took | put``."""
-    table = net._table
-    pre, offsets, spread, label = table.flows[t]
-    slot = label | 1
-    for off in offsets:
-        slot |= code >> off
-    return code & pre, (slot & table.full) * spread
-
-
 def _fire(net: LabelledNet, marking: DependencyMarking, G: Iterable[str]) -> DependencyMarking:
     # The members are enabled and independent, so none takes what another puts.
     code = net._table.encode(marking)
     for t in G:
-        took, put = _effect(net, code, t)
+        took, put = net._table.effect(code, t)
         code = code - took | put
     return net._table.decode(code)
 
@@ -121,7 +107,7 @@ def _tau_closure(net: LabelledNet, markings: Iterable[DependencyMarking]) -> set
     stack = list(seen)
     while stack:
         m = stack.pop()
-        for t, contact, visible in table.covered(table.marked(table.encode(m))):
+        for t, contact, visible in table.covered(table.encode(m)):
             if not (visible or contact):
                 m2 = _fire(net, m, (t,))
                 if m2 not in seen:
@@ -245,9 +231,8 @@ def explore_reachable(
     if state_limit < 1:
         raise ValueError("state_limit must be at least 1")
     table = net._table
-    # Nodes are dependency codes or place masks until they are decoded at the end.
-    root = (table.encode(initial_dependency_marking(net)) if dependency
-            else table.mask(net.initial_marking))
+    # Nodes are dependency codes or place masks, the root's alike, until decoded at the end.
+    root = table.mask(net.initial_marking)
     nodes = [root]
     seen = {root: 0}
     edges: list[ReachEdge] = []
@@ -268,7 +253,7 @@ def explore_reachable(
 
     later = table.later if steps else {}
     # What each enabled transition takes and puts: fixed place masks, or per node
-    # ``_effect``'s.  A step's members are independent and enabled, so none puts
+    # ``table.effect``'s.  A step's members are independent and enabled, so none puts
     # on another's preset: the successor is the node less all taken plus all put.
     effect = {t: move[2:4] for t, move in table.moves.items()}
 
@@ -289,16 +274,15 @@ def explore_reachable(
                 grow(i, step, after, rest)
 
     for i, code in enumerate(nodes):  # the BFS queue: nodes are appended in discovery order
-        marked = table.marked(code) if dependency else code
-        covered = table.covered(marked)
+        covered = table.covered(code)
         if dependency:
-            effect = {t: _effect(net, code, t) for t, contact, _ in covered if not contact}
+            effect = {t: table.effect(code, t) for t, contact, _ in covered if not contact}
         if steps:
             grow(i, (), code, [t for t, contact, _ in covered if not contact])
             continue
         for t, contact, _ in covered:
             if contact:
-                raise ContactError(t, min(table.marking(contact)), table.marking(marked))
+                raise ContactError(t, min(table.marking(contact)), table.marking(code))
             took, put = effect[t]
             after = code - took | put
             j = get(after)
@@ -375,24 +359,19 @@ def check_cycle_dependency(net: LabelledNet, graph: ReachGraph) -> list[CycleVio
     adjacency: dict[int, set[int]] = {}
     for e in graph.edges:
         adjacency.setdefault(e.source, set()).add(e.target)
-    table = net._table
-    codes: dict[int, int] = {}  # each source encoded once, when first needed
+    table, codes = net._table, {}
 
-    def violates(i: int, t: str) -> bool:  # some taken slot differs from the one put slot value
-        _, offsets, spread, label = table.flows[t]
-        if not spread or not label and len(offsets) < 2:
-            return False  # puts nothing, or invisibly puts back the one token it took
+    def code(i: int) -> int:  # each source encoded once, when first needed
         if i not in codes:
             codes[i] = table.encode(graph.nodes[i])
-        took, put = _effect(net, codes[i], t)
-        return took != sum(put // spread << off for off in offsets)
+        return codes[i]
 
     flagged: dict[tuple[int, str], bool] = {}  # (node, transition) -> violates
     bad: dict[int, set[tuple[int, str]]] = {}  # target -> (source, violating transition)
     for e in graph.edges:
         for t in e.step:
             if (e.source, t) not in flagged:
-                flagged[e.source, t] = violates(e.source, t)
+                flagged[e.source, t] = not table.keeps(t, partial(code, e.source))
             if flagged[e.source, t]:
                 bad.setdefault(e.target, set()).add((e.source, t))
     violations = []

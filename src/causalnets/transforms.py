@@ -33,10 +33,13 @@ def refine_transition(net: LabelledNet, t: str) -> tuple[LabelledNet, Refinement
 
     A fresh invisible transition takes over all of ``t``'s input arcs and
     feeds a fresh buffer place, which becomes ``t``'s only input.  Output
-    arcs, labels, and the initial marking are untouched.
+    arcs, labels, and the initial marking are untouched.  A ``t`` with an
+    empty preset raises ValueError: its prefix could fill the buffer twice.
     """
     if t not in net.transitions:
         raise UnknownElementError(f"unknown transition {t!r}")
+    if not net._preset[t]:
+        raise ValueError(f"cannot refine transition {t!r}: its preset is empty")
     taken = set(net.places) | set(net.transitions)
     new_place = _fresh(f"s_{t}", taken)
     taken.add(new_place)

@@ -1,7 +1,9 @@
 """The package's public names: what ``from causalnets import *`` brings in."""
 
+import ast
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import causalnets as cn
 from causalnets import distributability, equivalence, model, semantics, unfolding
@@ -99,3 +101,16 @@ def test_one_firing_rule():
     # every enabledness reader calls ``net._table.covered`` on a place mask
     assert not hasattr(model, "_enabled")
     assert not hasattr(cn.builtin("centralised")._table, "rows")
+
+
+def test_one_owner_of_the_dependency_layout():
+    # a dependency code is its place mask plus label fields; only model._Table
+    # reads the fields, through encode, decode, effect and keeps
+    assert not hasattr(semantics, "_effect") and not hasattr(model._Table, "marked")
+    layout = {"flows", "full", "offset", "label_bit", "label_sets"}
+    reads = [(m.__name__, node.lineno)
+             for m in (semantics, unfolding, distributability)
+             for node in ast.walk(ast.parse(Path(m.__file__).read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in layout
+             or isinstance(node, ast.Name) and node.id in layout]
+    assert reads == []

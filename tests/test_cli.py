@@ -412,6 +412,14 @@ class TestRefineAndExample:
         assert code == 2
         assert "unknown transition" in err
 
+    def test_refine_empty_preset_exits_two(self, capsys, tmp_path):
+        source, target = tmp_path / "e.net", tmp_path / "r.net"
+        source.write_text("place p *\ntrans t : a\narc p -> t\narc t -> p\ntrans u : b\n")
+        code, out, err = run(capsys, "refine", str(source), "-t", "u", "-o", str(target))
+        assert (code, out) == (2, "")
+        assert err == "error: cannot refine transition 'u': its preset is empty\n"
+        assert not target.exists()
+
     def test_example_matches_file(self, capsys):
         code, out, _ = run(capsys, "example", "pure_m")
         assert code == 0

@@ -227,9 +227,9 @@ class TestTable:
 
 class TestDependencyCode:
     """A dependency marking as one int, against a transcription of the layout:
-    the i-th sorted place owns bits i * w to i * w + w - 1, w being one more
-    than the number of visible labels; its slot is 0 while it is empty and
-    otherwise 1 plus 2 << j for the j-th sorted visible label its token
+    with n places and w visible labels, the i-th sorted place owns bit i,
+    set while it is marked, and the field of bits n + i * w to n + i * w +
+    w - 1, holding 1 << j for the j-th sorted visible label its token
     depends on."""
 
     def test_round_trip_layout_and_effect(self):
@@ -240,19 +240,23 @@ class TestDependencyCode:
         for net in nets:
             table = net._table
             places, labels = sorted(net.places), sorted(net.visible_labels)
-            width = len(labels) + 1
+            width = len(labels)
             graph = cn.explore_reachable(net, dependency=True, state_limit=10**4)
             codes = [table.encode(m) for m in graph.nodes]
             assert len(set(codes)) == len(codes)
+            assert codes[0] == table.mask(net.initial_marking)
             for m, code in zip(graph.nodes, codes):
                 assert code == sum(
-                    1 + sum(2 << labels.index(a) for a in tok.deps) << places.index(tok.place) * width
+                    1 << places.index(tok.place)
+                    | sum(1 << labels.index(a) for a in tok.deps)
+                    << len(places) + places.index(tok.place) * width
                     for tok in m.tokens)
                 assert table.decode(code) == m
-                assert table.marked(code) == table.mask(m.places)
+                assert table.covered(code) == table.covered(table.mask(m.places))
+                assert table.marking(code) == m.places
                 for t in sorted(net.transitions):
                     if oracle_step_enabled(net, tokens_of(m), {t}):
-                        took, put = cn.semantics._effect(net, code, t)
+                        took, put = table.effect(code, t)
                         after = table.decode(code - took | put)
                         assert tokens_of(after) == oracle_fire(net, tokens_of(m), {t})
                         fired += 1

@@ -56,6 +56,15 @@ class TestRefineTransition:
         with pytest.raises(cn.UnknownElementError):
             cn.refine_transition(fig2(), "zz")
 
+    def test_empty_preset_refused(self):
+        # u, with an empty preset, is always enabled; its invisible prefix
+        # would put a second token on the buffer place.
+        net = cn.make_net(places=["p"], transitions=["t", "u"], flow=[("p", "t"), ("t", "p")],
+                          initial_marking=["p"], labelling={"t": "a", "u": "b"})
+        assert cn.check_contact_free(net).ok
+        with pytest.raises(ValueError, match="cannot refine transition 'u': its preset is empty"):
+            cn.refine_transition(net, "u")
+
 
 class TestRefinementProperties:
     @pytest.mark.parametrize("t", ["a", "b", "c"])
