@@ -10,17 +10,15 @@ places connects two concurrently firable transitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .model import DEFAULT_STATE_LIMIT, LabelledNet
 from .semantics import ReachGraph, _bfs_tree, _path, explore_reachable
 
 
-@dataclass(frozen=True)
-class ConcurrencyRelation:
+class ConcurrencyRelation(NamedTuple):
     """Unordered pairs of distinct transitions firable as one step from some
     reachable marking."""
 
@@ -30,14 +28,18 @@ class ConcurrencyRelation:
         return frozenset(pair) in self.pairs
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """A location for every place and transition."""
-
+class _DistributionFields(NamedTuple):
     location_of: Mapping[str, str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "location_of", MappingProxyType(dict(self.location_of)))
+
+class Distribution(_DistributionFields):
+    """A location for every place and transition: a named tuple of its one
+    field, a read-only mapping."""
+
+    __slots__ = ()
+
+    def __new__(cls, location_of: Mapping[str, str]):
+        return super().__new__(cls, MappingProxyType(dict(location_of)))
 
     def locations(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {}
@@ -46,18 +48,23 @@ class Distribution:
         return {loc: sorted(members) for loc, members in out.items()}
 
 
-@dataclass(frozen=True)
-class DistributabilityVerdict:
+class _DistributabilityVerdictFields(NamedTuple):
+    distribution: Distribution | None
+    chain: tuple[str, ...] | None
+
+
+class DistributabilityVerdict(_DistributabilityVerdictFields):
     """Either a witnessing distribution or a violating chain of transitions
     whose endpoints are concurrent while consecutive members share an input
-    place."""
+    place: a named tuple of the two, exactly one of them None."""
 
-    distribution: Distribution | None = None
-    chain: tuple[str, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.distribution is None) == (self.chain is None):
+    def __new__(cls, distribution: Distribution | None = None,
+                chain: tuple[str, ...] | None = None):
+        if (distribution is None) == (chain is None):
             raise ValueError("exactly one of distribution/chain must be present")
+        return super().__new__(cls, distribution, chain)
 
     @property
     def distributed(self) -> bool:
@@ -70,8 +77,7 @@ class DistributabilityVerdict:
         return self.chain[0], self.chain[-1]
 
 
-@dataclass(frozen=True)
-class PureMWitness:
+class PureMWitness(NamedTuple):
     """Two transitions, each sharing an input place with a common middle
     transition but not with each other, with all three presets jointly
     covered by a reachable marking."""

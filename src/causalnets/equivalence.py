@@ -9,15 +9,14 @@ not.  Verdicts are always relative to the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import DEFAULT_STATE_LIMIT, TAU, LabelledNet
 from .semantics import explore_reachable
 from .unfolding import Pomset, enumerate_processes, visible_pomsets
 
 
-@dataclass(frozen=True)
-class BoundedObservation:
+class BoundedObservation(NamedTuple):
     """What a net shows at visible-event bound ``bound``.
 
     ``complete`` holds pomsets of maximal processes (at most ``bound``
@@ -32,8 +31,7 @@ class BoundedObservation:
     divergent: bool
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A pomset present on one side only (``side`` is ``left`` or ``right``),
     in the named category.  For a divergence mismatch the pomset is empty and
     ``side`` names the diverging net."""
@@ -43,15 +41,13 @@ class Witness:
     kind: str
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(NamedTuple):
     equivalent: bool
     bound: int
     witness: Witness | None = None
 
 
-@dataclass(frozen=True)
-class LocalDeadlockWitness:
+class LocalDeadlockWitness(NamedTuple):
     """A hidden step that permanently disabled a visible label.
 
     After firing ``trace`` from the initial marking the net sits at

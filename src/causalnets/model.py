@@ -12,10 +12,9 @@ existence; a set of such tokens is a dependency marking.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 TAU = "tau"
 
@@ -143,14 +142,19 @@ class _Table:
             deps |= code >> off
         return code & take, post | (deps & self.full) * spread
 
-    def keeps(self, t: str, code: Callable[[], int]) -> bool:
-        """Whether ``t``, enabled at the dependency code ``code()``, puts only
-        tokens depending on just what each taken one depends on; ``code`` is
-        called only when that can fail."""
+    def keeps(self, t: str, nodes: Sequence[DependencyMarking], i: int,
+              codes: dict[int, int]) -> bool:
+        """Whether ``t``, enabled at the dependency marking ``nodes[i]``, puts
+        only tokens depending on just what each taken one depends on.  The
+        marking is encoded only when that can fail, once: ``codes`` keeps its
+        code under ``i``."""
         _, offsets, post, spread, label = self.flows[t]
         if not post or not label and len(offsets) < 2:
             return True  # puts nothing, or invisibly puts back the one token it took
-        took, put = self.effect(code(), t)
+        code = codes.get(i)
+        if code is None:
+            code = codes[i] = self.encode(nodes[i])
+        took, put = self.effect(code, t)
         return all(took >> off & self.full == put // spread for off in offsets)
 
     @cached_property
@@ -160,43 +164,54 @@ class _Table:
         return {t: frozenset(u for u in pre if u != t and pre[t] & pre[u]) for t in pre}
 
 
-@dataclass(frozen=True)
-class LabelledNet:
-    """A finite labelled Petri net.
-
-    All fields are immutable; construction validates the structural
-    invariants (disjoint ids, well-formed arcs, marking within places,
-    total labelling over the reserved id alphabet).
-    """
-
+class _LabelledNetFields(NamedTuple):
     places: frozenset[str]
     transitions: frozenset[str]
     flow: frozenset[tuple[str, str]]
     initial_marking: frozenset[str]
     labelling: Mapping[str, str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "labelling", MappingProxyType(dict(self.labelling)))
-        overlap = self.places & self.transitions
+
+def _immutable(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
+class LabelledNet(_LabelledNetFields):
+    """A finite labelled Petri net, a named tuple of its five fields.
+
+    All fields are immutable; construction validates the structural
+    invariants (disjoint ids, well-formed arcs, marking within places,
+    total labelling over the reserved id alphabet).
+    """
+
+    __setattr__ = __delattr__ = _immutable  # the cached properties write __dict__ directly
+
+    def __new__(cls, places: frozenset[str], transitions: frozenset[str],
+                flow: frozenset[tuple[str, str]], initial_marking: frozenset[str],
+                labelling: Mapping[str, str]):
+        self = super().__new__(cls, places, transitions, flow, initial_marking,
+                               MappingProxyType(dict(labelling)))
+        overlap = places & transitions
         if overlap:
             raise ValueError(f"ids used as both place and transition: {sorted(overlap)}")
-        for x in list(self.places) + list(self.transitions):
+        for x in list(places) + list(transitions):
             if not _ID_RE.match(x):
                 raise ValueError(f"invalid id {x!r}")
-        for src, dst in self.flow:
+        for src, dst in flow:
             if not (
-                (src in self.places and dst in self.transitions)
-                or (src in self.transitions and dst in self.places)
+                (src in places and dst in transitions)
+                or (src in transitions and dst in places)
             ):
                 raise ValueError(f"arc {src} -> {dst} must connect one place and one transition")
-        if not self.initial_marking <= self.places:
-            extra = sorted(self.initial_marking - self.places)
+        if not initial_marking <= places:
+            extra = sorted(initial_marking - places)
             raise ValueError(f"initial marking uses unknown places: {extra}")
-        if set(self.labelling) != self.transitions:
+        if set(self.labelling) != transitions:
             raise ValueError("labelling must be total on transitions and nothing else")
         for t, lab in self.labelling.items():
             if lab != TAU and not _ID_RE.match(lab):
                 raise ValueError(f"invalid label {lab!r} on transition {t}")
+        return self
 
     def __hash__(self):
         return hash(
@@ -282,15 +297,20 @@ class DepToken(NamedTuple):
     deps: frozenset[str]
 
 
-@dataclass(frozen=True)
-class DependencyMarking:
-    """A set of dependency tokens, at most one per place."""
-
+class _DependencyMarkingFields(NamedTuple):
     tokens: frozenset[DepToken]
 
-    def __post_init__(self):
-        if len({tok.place for tok in self.tokens}) != len(self.tokens):
+
+class DependencyMarking(_DependencyMarkingFields):
+    """A set of dependency tokens, at most one per place: a named tuple of
+    its one field."""
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __new__(cls, tokens: frozenset[DepToken]):
+        if len({tok.place for tok in tokens}) != len(tokens):
             raise ValueError("two tokens on one place; net is not 1-safe here")
+        return super().__new__(cls, tokens)
 
     @cached_property
     def places(self) -> frozenset[str]:
@@ -417,8 +437,7 @@ def serialize_net(net: LabelledNet) -> str:
 # --- contact-freeness ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContactVerdict:
+class ContactVerdict(NamedTuple):
     """Outcome of the contact-freeness check.
 
     ``status`` is ``contact_free`` or ``violation`` (with the offending

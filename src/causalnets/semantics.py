@@ -10,7 +10,6 @@ that transition consumed; the invisible label is never recorded.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, product
 from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar
@@ -156,8 +155,7 @@ class ReachEdge(NamedTuple):
     target: int
 
 
-@dataclass
-class ReachGraph:
+class ReachGraph(NamedTuple):
     """Breadth-first closure of the initial marking.
 
     Nodes are dependency markings, or plain markings when built with
@@ -165,7 +163,7 @@ class ReachGraph:
     enabled step, so the graph also carries the step-concurrency
     information; built with ``steps=False`` they record the interleavings:
     one edge per enabled transition.  ``labelling`` is the net's, read for
-    the labels of an edge's step.
+    the labels of an edge's step.  Its fields cannot be reassigned.
     """
 
     dependency: bool
@@ -301,8 +299,7 @@ def explore_reachable(
 # --- cycle dependency property ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleViolation:
+class CycleViolation(NamedTuple):
     """A transition fired on a reach-graph cycle whose produced tokens'
     dependency set differs from the dependencies of a token it consumed.
 
@@ -359,19 +356,13 @@ def check_cycle_dependency(net: LabelledNet, graph: ReachGraph) -> list[CycleVio
     adjacency: dict[int, set[int]] = {}
     for e in graph.edges:
         adjacency.setdefault(e.source, set()).add(e.target)
-    table, codes = net._table, {}
-
-    def code(i: int) -> int:  # each source encoded once, when first needed
-        if i not in codes:
-            codes[i] = table.encode(graph.nodes[i])
-        return codes[i]
-
+    table, nodes, codes = net._table, graph.nodes, {}  # codes: source -> its code, once needed
     flagged: dict[tuple[int, str], bool] = {}  # (node, transition) -> violates
     bad: dict[int, set[tuple[int, str]]] = {}  # target -> (source, violating transition)
     for e in graph.edges:
         for t in e.step:
             if (e.source, t) not in flagged:
-                flagged[e.source, t] = not table.keeps(t, partial(code, e.source))
+                flagged[e.source, t] = not table.keeps(t, nodes, e.source, codes)
             if flagged[e.source, t]:
                 bad.setdefault(e.target, set()).add((e.source, t))
     violations = []

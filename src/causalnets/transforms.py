@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import TAU, LabelledNet, UnknownElementError, parse_net
 
 BUILTIN_NAMES = ("pure_m", "repeated_pure_m", "centralised", "deadlocking")
 
 
-@dataclass(frozen=True)
-class RefinementRecord:
+class RefinementRecord(NamedTuple):
     """Fresh ids introduced when splitting a transition."""
 
     target: str

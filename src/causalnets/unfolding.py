@@ -14,7 +14,6 @@ canonical form so that value equality coincides with isomorphism.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import ContactError, LabelledNet, UnknownElementError
@@ -266,10 +265,10 @@ def enumerate_processes(
         for t, contact, visible in moves:
             if visible and process.visible_count >= visible_bound:
                 continue
-            e = _extension(process, t, contact)
-            if process.event_count + 1 > event_limit:
-                saturated = True
+            if process.event_count >= event_limit and not contact:
+                saturated = True  # a contact still raises, from _extension
                 continue
+            e = _extension(process, t, contact)
             config = process.config | 1 << e
             if config in seen:
                 continue
@@ -284,19 +283,20 @@ def enumerate_processes(
 # --- labelled partial orders and pomsets -------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Pomset:
+class Pomset(NamedTuple):
     """Canonical form of a labelled partial order's isomorphism class.
 
     ``labels`` lists the event labels in canonical numbering; ``order``
     holds the strict precedences as index pairs.  Two orders canonicalise
     to equal Pomset values exactly when they are label- and order-isomorphic.
+    Pomsets sort as their ``(labels, order)`` tuples.
     """
 
     labels: tuple[str, ...]
     order: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
+        """The number of events, not of fields."""
         return len(self.labels)
 
     def fields(self) -> tuple[str, str]:

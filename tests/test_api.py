@@ -1,9 +1,13 @@
 """The package's public names: what ``from causalnets import *`` brings in."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
-from dataclasses import fields
 from pathlib import Path
+
+import pytest
 
 import causalnets as cn
 from causalnets import distributability, equivalence, model, semantics, unfolding
@@ -35,7 +39,7 @@ def test_report_layouts_left_the_library():
 
 def test_reach_graph_has_no_index():
     # nodes are looked up with graph.nodes.index; no second dict is kept
-    assert "index" not in {f.name for f in fields(cn.ReachGraph)}
+    assert "index" not in cn.ReachGraph._fields
 
 
 def test_process_has_no_end_marking():
@@ -114,3 +118,111 @@ def test_one_owner_of_the_dependency_layout():
              if isinstance(node, ast.Attribute) and node.attr in layout
              or isinstance(node, ast.Name) and node.id in layout]
     assert reads == []
+
+
+def test_cli_import_loads_every_module_and_no_dataclasses():
+    # every CLI call first imports causalnets.cli: it loads all seven modules
+    # at once, and no value type pulls in dataclasses (nor its inspect)
+    code = ("import sys; before = set(sys.modules); import causalnets.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    path = [str(Path(cn.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True).stdout.split())
+    modules = {f"causalnets.{m}" for m in ("cli", "model", "semantics", "distributability",
+                                           "unfolding", "equivalence", "transforms")}
+    assert {m for m in loaded if m.startswith("causalnets.")} == modules
+    assert loaded & {"dataclasses", "inspect"} == set()
+
+
+# --- value types: named tuples with the dataclasses' hashes and immutability --
+
+
+def _values():
+    """One instance of each library value type, most from the calls that build it."""
+    net, chain = cn.builtin("repeated_pure_m"), cn.builtin("centralised")
+    pomsets = cn.visible_pomsets(e.process for e in cn.enumerate_processes(net, 2))
+    obs = cn.bounded_observation(net, 2)
+    witness = cn.compare(net, chain, 4)
+    contact = cn.make_net(["p", "q"], ["t"], [("p", "t"), ("t", "q")], ["p", "q"])
+    return [
+        net, cn.initial_dependency_marking(net), cn.check_contact_free(contact),
+        cn.explore_reachable(net), cn.CycleViolation((8, 9), "a"),
+        cn.concurrency_relation(net), cn.check_distributed(net), cn.check_distributed(chain),
+        cn.check_distributed(chain).distribution, cn.find_pure_m(net)[0], pomsets[-1], obs,
+        witness, witness.witness, cn.find_local_deadlock(cn.builtin("deadlocking"))[0],
+        cn.refine_transition(net, "a")[1],
+    ]
+
+
+def test_every_value_type_is_covered():
+    named = {type(x).__name__ for x in _values()}
+    assert named == {
+        "LabelledNet", "DependencyMarking", "ContactVerdict", "ReachGraph", "CycleViolation",
+        "ConcurrencyRelation", "DistributabilityVerdict", "Distribution", "PureMWitness",
+        "Pomset", "BoundedObservation", "EquivalenceVerdict", "Witness",
+        "LocalDeadlockWitness", "RefinementRecord",
+    }
+
+
+def test_hash_is_the_field_tuple_hash():
+    # as the frozen dataclasses hashed, so no set's order moves; a net hashes
+    # its labelling as sorted pairs, and values holding a mapping or a list
+    # stay unhashable
+    for x in _values():
+        fields = tuple(getattr(x, f) for f in x._fields)
+        assert x == fields and tuple(x) == fields
+        if isinstance(x, cn.LabelledNet):
+            assert hash(x) == hash((*fields[:4], tuple(sorted(x.labelling.items()))))
+        elif isinstance(x, (cn.ReachGraph, cn.Distribution)) or (
+                isinstance(x, cn.DistributabilityVerdict) and x.distributed):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(x)
+        else:
+            assert hash(x) == hash(fields)
+
+
+def test_fields_are_read_only():
+    for x in _values():
+        for name in x._fields:
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+    net, marking = cn.builtin("pure_m"), cn.initial_dependency_marking(cn.builtin("pure_m"))
+    for x in (net, marking):  # these cache derived values, yet take no new attribute
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        with pytest.raises(AttributeError):
+            delattr(x, x._fields[0])
+    assert net._table is net._table and marking.places == {"p", "q"}
+
+
+def test_validating_types_still_refuse():
+    with pytest.raises(ValueError, match="two tokens on one place"):
+        cn.DependencyMarking(frozenset({cn.DepToken("p", frozenset()),
+                                        cn.DepToken("p", frozenset({"a"}))}))
+    for kwargs in ({}, {"distribution": cn.Distribution({}), "chain": ("t",)}):
+        with pytest.raises(ValueError, match="exactly one of distribution/chain"):
+            cn.DistributabilityVerdict(**kwargs)
+    with pytest.raises(ValueError, match="must connect one place and one transition"):
+        cn.make_net(["p", "q"], flow=[("p", "q")])
+
+
+def test_distribution_location_of_is_read_only():
+    given = {"t": "loc0", "p": "loc0"}
+    d = cn.Distribution(given)
+    given["q"] = "loc1"
+    assert dict(d.location_of) == {"t": "loc0", "p": "loc0"}
+    with pytest.raises(TypeError):
+        d.location_of["t"] = "loc1"
+
+
+def test_pomsets_sort_by_labels_then_order():
+    # the dataclass order: labels first, then order pairs; len counts events
+    pomsets = list({p for name in cn.BUILTIN_NAMES
+                    for p in cn.visible_pomsets(e.process for e in
+                                                cn.enumerate_processes(cn.builtin(name), 3))})
+    pomsets += [cn.Pomset(("a", "a"), ()), cn.Pomset(("a", "a"), ((0, 1),)), cn.Pomset((), ())]
+    assert len(pomsets) > 10
+    assert sorted(pomsets) == sorted(pomsets, key=lambda p: (p.labels, p.order))
+    assert [len(p) for p in pomsets] == [len(p.labels) for p in pomsets]
+    assert not cn.Pomset((), ()) and cn.Pomset(("a",), ())

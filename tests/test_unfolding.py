@@ -129,6 +129,19 @@ class TestContact:
         assert observation.complete == frozenset()
         assert observation.partial == {pomset("a", [])}
 
+    def test_contact_past_the_event_limit_still_raises(self):
+        # s puts q's token, and u, one firing past the limit, would put a
+        # second token on r: the contact check comes before the limit's
+        net = cn.make_net(
+            places=["p", "q", "r"], transitions=["s", "u"],
+            flow=[("p", "s"), ("s", "q"), ("q", "u"), ("u", "r")],
+            initial_marking=["p", "r"],
+        )
+        with pytest.raises(cn.ContactError, match="transition u .* place r"):
+            cn.enumerate_processes(net, 0, event_limit=1)
+        (entry,) = cn.enumerate_processes(net, 0, event_limit=0)
+        assert entry.saturated
+
     def test_self_loop_is_not_contact(self):
         net = cn.make_net(
             places=["p"], transitions=["t"], flow=[("p", "t"), ("t", "p")],
@@ -192,6 +205,18 @@ class TestEnumerateProcesses:
         entries = cn.enumerate_processes(net, 0, event_limit=5)
         assert any(e.saturated for e in entries)
         assert max(e.process.event_count for e in entries) == 5
+
+    def test_every_prefix_event_is_in_a_process(self):
+        # an extension past the event limit adds no event to the shared prefix
+        cases = [(rings(3), 0, limit) for limit in (20, 25, 30)]
+        cases += [(cn.builtin(name), 3, 3) for name in ("centralised", "deadlocking")]
+        for net, k, event_limit in cases:
+            entries = cn.enumerate_processes(net, k, event_limit)
+            assert any(e.saturated for e in entries)
+            used = 0
+            for e in entries:
+                used |= e.process.config
+            assert used == (1 << len(entries[0].process.prefix.trans)) - 1
 
     def test_event_limit_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="event_limit must be nonnegative"):
