@@ -264,30 +264,26 @@ def make_net(
     )
 
 
-def preset(net: LabelledNet, x) -> frozenset[str]:
-    """Elements with an arc into ``x``; a set of ids is mapped element-wise."""
+def _adjacent(relation: Mapping[str, frozenset[str]], x) -> frozenset[str]:
     if isinstance(x, str):
         try:
-            return net._preset[x]
+            return relation[x]
         except KeyError:
             raise UnknownElementError(f"unknown element {x!r}") from None
     out: frozenset[str] = frozenset()
     for e in x:
-        out |= preset(net, e)
+        out |= _adjacent(relation, e)
     return out
+
+
+def preset(net: LabelledNet, x) -> frozenset[str]:
+    """Elements with an arc into ``x``; a set of ids is mapped element-wise."""
+    return _adjacent(net._preset, x)
 
 
 def postset(net: LabelledNet, x) -> frozenset[str]:
     """Elements reached by an arc from ``x``; a set of ids is mapped element-wise."""
-    if isinstance(x, str):
-        try:
-            return net._postset[x]
-        except KeyError:
-            raise UnknownElementError(f"unknown element {x!r}") from None
-    out: frozenset[str] = frozenset()
-    for e in x:
-        out |= postset(net, e)
-    return out
+    return _adjacent(net._postset, x)
 
 
 class DepToken(NamedTuple):
@@ -369,12 +365,13 @@ def parse_net(text: str) -> LabelledNet:
         kind = tokens[0].group()
         if kind == "place":
             name = ident(1)
-            if len(tokens) > 3 or (len(tokens) == 3 and tokens[2].group() != "*"):
-                raise err("expected end of line or '*'", tokens[2])
+            star = len(tokens) > 2 and tokens[2].group() == "*"
+            if len(tokens) > 2 + star:
+                raise err("expected end of line or '*'", tokens[2 + star])
             if name in places or name in transitions:
                 raise err(f"duplicate declaration of {name!r}", tokens[1])
             places.add(name)
-            if len(tokens) == 3:
+            if star:
                 marking.add(name)
         elif kind == "trans":
             name = ident(1)
@@ -387,8 +384,7 @@ def parse_net(text: str) -> LabelledNet:
                 if label == TAU:
                     raise err(f"{TAU!r} is reserved for the invisible label", tokens[3])
             else:
-                raise err("expected 'trans <id>' or 'trans <id> : <label>'",
-                          tokens[2] if len(tokens) > 2 else None)
+                raise err("expected 'trans <id>' or 'trans <id> : <label>'", tokens[2])
             transitions.add(name)
             labelling[name] = label
         elif kind == "arc":

@@ -46,13 +46,34 @@ def _as_step(net: LabelledNet, step: Iterable[str]) -> frozenset[str]:
     return G
 
 
+def _enabled(table, code: int, G: frozenset[str]) -> bool:
+    """Whether every member of ``G`` may fire at ``code`` and no two conflict."""
+    fireable = {t for t, contact, _ in table.covered(code) if not contact}
+    return G <= fireable and all(u in table.later[t] for t, u in combinations(sorted(G), 2))
+
+
+def _after(table, code: int, G: Iterable[str]) -> int:
+    """The code after firing the enabled step ``G`` at ``code``."""
+    for t in G:  # the members are independent, so none takes what another puts
+        took, put = table.effect(code, t)
+        code = code - took | put
+    return code
+
+
+def _labelled(table, code: int, want: Mapping[str, int]) -> set[int]:
+    """The codes after each step enabled at ``code`` whose label multiset is ``want``."""
+    fireable = [t for t, contact, _ in table.covered(code) if not contact]
+    pools = [combinations([t for t in fireable if table.labelling[t] == lab], count)
+             for lab, count in want.items()]
+    steps = (sorted(chain.from_iterable(pick)) for pick in product(*pools))
+    return {_after(table, code, G) for G in steps
+            if all(u in table.later[t] for t, u in combinations(G, 2))}
+
+
 def step_enabled(net: LabelledNet, marking: DependencyMarking, step: Iterable[str]) -> bool:
     """True when every member can fire from ``marking`` and no two conflict."""
     G = _as_step(net, step)
-    table = net._table
-    covered = table.covered(table.encode(marking))
-    fireable = {t for t, contact, _ in covered if not contact}
-    return G <= fireable and all(u in table.later[t] for t, u in combinations(sorted(G), 2))
+    return _enabled(net._table, net._table.encode(marking), G)
 
 
 def fire_step(net: LabelledNet, marking: DependencyMarking, step: Iterable[str]) -> DependencyMarking:
@@ -63,18 +84,11 @@ def fire_step(net: LabelledNet, marking: DependencyMarking, step: Iterable[str])
     on.  Tokens on untouched places carry over unchanged.
     """
     G = _as_step(net, step)
-    if not step_enabled(net, marking, G):
+    table = net._table
+    code = table.encode(marking)
+    if not _enabled(table, code, G):
         raise NotEnabledError(f"step {sorted(G)} is not enabled")
-    return _fire(net, marking, G)
-
-
-def _fire(net: LabelledNet, marking: DependencyMarking, G: Iterable[str]) -> DependencyMarking:
-    # The members are enabled and independent, so none takes what another puts.
-    code = net._table.encode(marking)
-    for t in G:
-        took, put = net._table.effect(code, t)
-        code = code - took | put
-    return net._table.decode(code)
+    return table.decode(_after(table, code, G))
 
 
 def labelled_step(
@@ -86,33 +100,8 @@ def labelled_step(
         raise ValueError("label multiset must be nonempty")
     if TAU in want:
         raise ValueError("labelled steps range over visible labels only")
-    pools = []
-    for lab, count in sorted(want.items()):
-        candidates = sorted(t for t in net.transitions if net.labelling[t] == lab)
-        if len(candidates) < count:
-            return set()
-        pools.append(list(combinations(candidates, count)))
-    out: set[DependencyMarking] = set()
-    for pick in product(*pools):
-        G = frozenset(chain.from_iterable(pick))
-        if step_enabled(net, marking, G):
-            out.add(_fire(net, marking, G))
-    return out
-
-
-def _tau_closure(net: LabelledNet, markings: Iterable[DependencyMarking]) -> set[DependencyMarking]:
     table = net._table
-    seen = set(markings)
-    stack = list(seen)
-    while stack:
-        m = stack.pop()
-        for t, contact, visible in table.covered(table.encode(m)):
-            if not (visible or contact):
-                m2 = _fire(net, m, (t,))
-                if m2 not in seen:
-                    seen.add(m2)
-                    stack.append(m2)
-    return seen
+    return {table.decode(code) for code in _labelled(table, table.encode(marking), want)}
 
 
 def weak_step(
@@ -124,15 +113,23 @@ def weak_step(
     arbitrary invisible steps may occur before, between, and after them.
     An empty ``sigma`` yields the invisible-step closure of ``marking``.
     """
-    current = _tau_closure(net, {marking})
+    table = net._table
+
+    def closed(codes: set[int]) -> set[int]:
+        """``codes`` and every code invisible steps reach from them."""
+        stack = list(codes)
+        while stack:
+            new = _labelled(table, stack.pop(), {TAU: 1}) - codes
+            codes |= new
+            stack += new
+        return codes
+
+    current = closed({table.encode(marking)})
     for a in sigma:
         if a == TAU:
             raise ValueError("sequences range over visible labels only")
-        step_results: set[DependencyMarking] = set()
-        for m in current:
-            step_results |= labelled_step(net, m, (a,))
-        current = _tau_closure(net, step_results)
-    return current
+        current = closed({after for code in current for after in _labelled(table, code, {a: 1})})
+    return {table.decode(code) for code in current}
 
 
 # --- reachability graphs -----------------------------------------------------

@@ -62,6 +62,11 @@ def test_one_interleaving_search():
     assert not hasattr(semantics, "_interleavings")
 
 
+def test_step_functions_fire_on_codes():
+    # no marking-level driver: the step functions encode once and fire on codes
+    assert not hasattr(semantics, "_tau_closure") and not hasattr(semantics, "_fire")
+
+
 def test_dep_token_is_a_named_tuple():
     # equality and hashing are tuple operations, as for ReachEdge
     assert cn.DepToken._fields == ("place", "deps")
@@ -205,6 +210,17 @@ def test_validating_types_still_refuse():
             cn.DistributabilityVerdict(**kwargs)
     with pytest.raises(ValueError, match="must connect one place and one transition"):
         cn.make_net(["p", "q"], flow=[("p", "q")])
+    for kwargs, message in [
+        (dict(places=["x"], transitions=["x"]), r"ids used as both place and transition: \['x'\]"),
+        (dict(places=["p-1"]), "invalid id 'p-1'"),
+        (dict(places=["p"], initial_marking=["p", "q"]),
+         r"initial marking uses unknown places: \['q'\]"),
+        (dict(transitions=["t"], labelling={"t": "a", "u": "b"}),
+         "labelling must be total on transitions and nothing else"),
+        (dict(transitions=["t"], labelling={"t": "a-b"}), "invalid label 'a-b' on transition t"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cn.make_net(**kwargs)
 
 
 def test_distribution_location_of_is_read_only():

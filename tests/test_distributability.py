@@ -66,6 +66,7 @@ class TestCheckDistributed:
         net = cn.builtin("centralised")
         verdict = cn.check_distributed(net)
         assert verdict.distributed
+        assert verdict.concurrent_endpoints is None
         assert_valid_distribution(net, verdict)
         groups = {frozenset(m) for m in verdict.distribution.locations().values()}
         assert frozenset({"tau_a", "tau_b", "tau_c", "px2", "qy2", "lock"}) in groups

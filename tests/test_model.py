@@ -110,6 +110,39 @@ class TestParse:
         with pytest.raises(NetParseError):
             cn.parse_net("place p-1\n")
 
+    # (text, message, line, column): one or more inputs per NetParseError branch
+    ERRORS = [
+        ("place", "expected an identifier", 1, 6),
+        ("place p-1", "invalid identifier 'p-1'", 1, 7),
+        ("place p x", "expected end of line or '*'", 1, 9),
+        ("place p * x", "expected end of line or '*'", 1, 11),
+        ("place p * *", "expected end of line or '*'", 1, 11),
+        ("  place p * x  # c", "expected end of line or '*'", 1, 13),
+        ("place p\nplace p", "duplicate declaration of 'p'", 2, 7),
+        ("place x\ntrans x", "duplicate declaration of 'x'", 2, 7),
+        ("trans t : tau", "'tau' is reserved for the invisible label", 1, 11),
+        ("trans t a", "expected 'trans <id>' or 'trans <id> : <label>'", 1, 9),
+        ("trans t :", "expected 'trans <id>' or 'trans <id> : <label>'", 1, 9),
+        ("trans t : a b", "expected 'trans <id>' or 'trans <id> : <label>'", 1, 9),
+        ("place p\ntrans t\narc p t", "expected '->'", 3, 7),
+        ("place p\narc p", "expected '->'", 2, 6),
+        ("place p\narc p ->", "expected an identifier", 2, 9),
+        ("place p\ntrans t\narc p -> t x", "unexpected trailing text", 3, 12),
+        ("trans t\narc p -> t", "unknown id 'p' in arc", 2, 5),
+        ("place p\narc p -> t", "unknown id 't' in arc", 2, 10),
+        ("place p\nplace q\narc p -> q", "arc connects two places", 3, 5),
+        ("trans t\ntrans u\narc t -> u", "arc connects two transitions", 3, 5),
+        ("place p\ntrans t\narc p -> t\narc p -> t", "duplicate arc p -> t", 4, 5),
+        ("place p\nwhatever x", "unknown directive 'whatever'", 2, 1),
+    ]
+
+    @pytest.mark.parametrize("text, message, line, column", ERRORS, ids=[e[0] for e in ERRORS])
+    def test_error_position_pinned(self, text, message, line, column):
+        with pytest.raises(NetParseError) as exc:
+            cn.parse_net(text)
+        assert (exc.value.message, exc.value.line, exc.value.column) == (message, line, column)
+        assert str(exc.value) == f"line {line}, column {column}: {message}"
+
 
 class TestSerialize:
     def test_round_trip_fig2(self):

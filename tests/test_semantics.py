@@ -122,6 +122,8 @@ class TestFireStep:
 class TestLabelledStep:
     def test_pair_step(self):
         assert cn.labelled_step(fig2(), M0, ["a", "c"]) == {dm(("p", "a"), ("q", "c"))}
+        # a and b can each fire, but they share the place p
+        assert cn.labelled_step(fig2(), M0, ["a", "b"]) == set()
 
     def test_multiset_needs_distinct_transitions(self):
         assert cn.labelled_step(fig2(), M0, ["b", "b"]) == set()
@@ -135,6 +137,21 @@ class TestLabelledStep:
         with pytest.raises(ValueError):
             cn.labelled_step(fig2(), M0, [])
 
+    def test_contact_is_no_step(self):
+        # t would put a second token on q, u takes it first: only u, then t
+        net = cn.make_net(["p", "q"], ["t", "u"], [("p", "t"), ("t", "q"), ("q", "u")],
+                          ["p", "q"], {"t": "a", "u": "b"})
+        m = dm(("p", ""), ("q", ""))
+        assert cn.labelled_step(net, m, ["a"]) == set()
+        assert cn.labelled_step(net, m, ["b"]) == {dm(("p", ""))}
+        assert cn.weak_step(net, m, ["a"]) == set()
+        invisible = cn.make_net(net.places, net.transitions, net.flow, net.initial_marking)
+        assert cn.weak_step(invisible, m, []) == {m, dm(("p", "")), dm(("q", "")), dm()}
+
+    def test_tau_rejected(self):
+        with pytest.raises(ValueError, match="^labelled steps range over visible labels only$"):
+            cn.labelled_step(fig2(), M0, ["a", cn.TAU])
+
 
 class TestWeakStep:
     def test_hidden_prefix_found(self):
@@ -147,6 +164,14 @@ class TestWeakStep:
     def test_nothing_after_sink(self):
         assert cn.weak_step(fig2(), M0, ["b", "a"]) == set()
 
+    def test_tau_rejected(self):
+        # each element is tested, whether or not a marking is left to step from
+        for sigma in (["a", cn.TAU], ["b", "a", cn.TAU]):
+            with pytest.raises(ValueError, match="^sequences range over visible labels only$"):
+                cn.weak_step(fig2(), M0, sigma)
+        # a string is a sequence of one-letter labels, none of them tau
+        assert cn.weak_step(fig2(), M0, cn.TAU) == set()
+
 
 class TestUnknownMarkingElements:
     """A marking naming a place or a dependency label the net lacks is
@@ -156,6 +181,11 @@ class TestUnknownMarkingElements:
         "step_enabled": lambda net, m: cn.step_enabled(net, m, {"a"}),
         "fire_step": lambda net, m: cn.fire_step(net, m, {"a"}),
         "weak_step": lambda net, m: cn.weak_step(net, m, ["a"]),
+        # the marking is refused before a tau element of the sequence
+        "weak_step_tau": lambda net, m: cn.weak_step(net, m, [cn.TAU]),
+        "labelled_step": lambda net, m: cn.labelled_step(net, m, ["a"]),
+        "labelled_step_no_transition": lambda net, m: cn.labelled_step(net, m, ["zz"]),
+        "labelled_step_too_many": lambda net, m: cn.labelled_step(net, m, ["a"] * 4),
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))
@@ -167,6 +197,40 @@ class TestUnknownMarkingElements:
     def test_named(self, call, marking, message):
         with pytest.raises(cn.UnknownElementError, match=f"^{re.escape(message)}$"):
             self.CALLS[call](fig2(), marking)
+
+
+def centralised_m0():
+    net = cn.builtin("centralised")
+    return net, cn.initial_dependency_marking(net)
+
+
+class TestCodesAtTheBoundary:
+    """Each step function encodes its marking once, fires on codes and
+    decodes only the markings it returns."""
+
+    CALLS = {  # name: (call, markings returned)
+        "step_enabled": (lambda: cn.step_enabled(fig2(), M0, {"a", "c"}), 0),
+        "fire_step": (lambda: cn.fire_step(fig2(), M0, {"a", "c"}), 1),
+        "labelled_step": (lambda: cn.labelled_step(fig2(), M0, ["a", "c"]), 1),
+        "labelled_step_none": (lambda: cn.labelled_step(fig2(), M0, ["b", "b"]), 0),
+        "weak_step": (lambda: cn.weak_step(fig2(), M0, ["a", "c", "b"]), 1),
+        "weak_step_closure": (lambda: cn.weak_step(*centralised_m0(), []), 5),
+        "weak_step_hidden": (lambda: cn.weak_step(*centralised_m0(), ["a"]), 6),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_one_encode_and_one_decode_per_result(self, monkeypatch, name):
+        call, returned = self.CALLS[name]
+        counts = {"encode": 0, "decode": 0}
+        for method in counts:
+            def counted(table, value, method=method, original=getattr(cn.model._Table, method)):
+                counts[method] += 1
+                return original(table, value)
+            monkeypatch.setattr(cn.model._Table, method, counted)
+        result = call()
+        if isinstance(result, set):
+            assert len(result) == returned
+        assert counts == {"encode": 1, "decode": returned}
 
 
 class TestExploreReachable:

@@ -51,6 +51,14 @@ class TestRefineTransition:
         refined, record = cn.refine_transition(net, "t")
         assert record.new_place == "s_t_2"
         assert "s_t_2" in refined.places
+        # a second collision on each fresh id: s_t and s_t_2, tau_t and tau_t_2 are taken
+        net = cn.make_net(
+            places=["p", "s_t", "s_t_2"], transitions=["t", "tau_t", "tau_t_2"],
+            flow=[("p", "t")], initial_marking=["p"], labelling={"t": "a"},
+        )
+        refined, record = cn.refine_transition(net, "t")
+        assert (record.new_place, record.new_tau) == ("s_t_3", "tau_t_3")
+        assert {"s_t_3", "tau_t_3"} <= refined.places | refined.transitions
 
     def test_unknown_transition(self):
         with pytest.raises(cn.UnknownElementError):

@@ -223,6 +223,8 @@ class TestEnumerateProcesses:
             cn.enumerate_processes(fig2(), 2, event_limit=-5)
         (entry,) = cn.enumerate_processes(fig2(), 2, event_limit=0)
         assert entry.saturated and entry.process.event_count == 0
+        with pytest.raises(ValueError, match="visible_bound must be nonnegative"):
+            cn.enumerate_processes(fig2(), -1)
 
     def test_process_limit_must_be_positive(self):
         idle = cn.make_net(places=["p"], initial_marking=["p"])
