@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .model import DEFAULT_STATE_LIMIT, TAU, LabelledNet
 from .semantics import explore_reachable
-from .unfolding import Pomset, enumerate_processes, visible_pomsets
+from .unfolding import Pomset, _observe
 
 
 class BoundedObservation(NamedTuple):
@@ -65,14 +65,9 @@ class LocalDeadlockWitness(NamedTuple):
 def bounded_observation(
     net: LabelledNet, k: int, event_limit: int | None = None
 ) -> BoundedObservation:
-    """Collect the complete and partial pomsets of a net at bound ``k``."""
-    entries = enumerate_processes(net, k, event_limit)
-    shown = [e for e in entries if e.maximal or e.process.visible_count == k]
-    complete: set[Pomset] = set()
-    partial: set[Pomset] = set()
-    for entry, pomset in zip(shown, visible_pomsets(e.process for e in shown)):
-        (complete if entry.maximal else partial).add(pomset)
-    divergent = any(e.saturated for e in entries)
+    """Collect the complete and partial pomsets of a net at bound ``k``,
+    from a search over states that builds no process."""
+    complete, partial, divergent = _observe(net, k, event_limit)
     return BoundedObservation(frozenset(complete), frozenset(partial), k, divergent)
 
 

@@ -14,14 +14,22 @@ canonical form so that value equality coincides with isomorphism.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import ContactError, LabelledNet, UnknownElementError
 from .semantics import LimitExceededError
 
 
-def default_event_limit(visible_bound: int) -> int:
-    return 10 * visible_bound + 50
+def _event_limit(visible_bound: int, event_limit: int | None) -> int:
+    """``event_limit``, by default ``10 * visible_bound + 50``; ValueError
+    when either is negative."""
+    if visible_bound < 0:
+        raise ValueError("visible_bound must be nonnegative")
+    if event_limit is None:
+        event_limit = 10 * visible_bound + 50
+    if event_limit < 0:
+        raise ValueError("event_limit must be nonnegative")
+    return event_limit
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -41,18 +49,12 @@ class _Prefix:
     initial ones, one per marked place in sorted order.  An event is stored
     once, under the key ``(t, consumed condition ids)``, or ``(t, n)`` for
     the n-th occurrence of an input-less ``t``.  Per event the prefix keeps
-    its transition, the conditions it consumes and produces, the mask of the
-    visible events strictly before it, and its visible height: the number of
-    visible events on the longest chain that ends at it.  A configuration
-    holds the whole visible past of each of its events, so per visible event
-    the prefix also keeps what no configuration changes: its visible past as
-    an ascending tuple, and its longest-chain depth, label and in-degree
-    among the visible events.
+    its transition, the conditions it consumes and produces, and the mask of
+    the visible events strictly before it, which a configuration holds whole.
     """
 
     __slots__ = ("net", "moves", "cond_place", "cond_producer", "index", "trans",
-                 "pre", "post", "vpast", "height", "preds", "colour", "visible", "inputless",
-                 "_names")
+                 "pre", "post", "vpast", "visible", "inputless", "_names")
 
     def __init__(self, net: LabelledNet):
         self.net = net
@@ -64,9 +66,6 @@ class _Prefix:
         self.pre: list[tuple[int, ...]] = []
         self.post: list[tuple[int, ...]] = []
         self.vpast: list[int] = []
-        self.height: list[int] = []
-        self.preds: dict[int, tuple[int, ...]] = {}  # visible e -> its visible past
-        self.colour: dict[int, tuple[int, str, int]] = {}  # visible e -> (depth, label, indegree)
         self.visible = 0  # mask of the visible events
         self.inputless: dict[str, list[int]] = {}  # t -> its input-less events, 1st, 2nd, ...
         self._names: dict[int, tuple] = {}
@@ -74,22 +73,16 @@ class _Prefix:
     def add_event(self, key: tuple, t: str, chosen: tuple[int, ...]) -> int:
         e = len(self.trans)
         _, places, _, _, visible = self.moves[t]
-        vpast = depth = 0
+        vpast = 0
         for c in chosen:
             p = self.cond_producer[c]
             if p is not None:  # p's visible past, and p itself when visible
                 vpast |= self.vpast[p] | self.visible & 1 << p
-                if depth < self.height[p]:
-                    depth = self.height[p]
         self.index[key] = e
         self.trans.append(t)
         self.pre.append(chosen)
         self.vpast.append(vpast)
-        self.height.append(depth + visible)
-        if visible:
-            self.visible |= 1 << e
-            preds = self.preds[e] = tuple(_bits(vpast))
-            self.colour[e] = (depth, self.net.labelling[t], len(preds))
+        self.visible |= visible << e
         base = len(self.cond_place)
         self.post.append(tuple(range(base, base + len(places))))
         self.cond_place.extend(places)
@@ -243,12 +236,7 @@ def enumerate_processes(
     transitions chain through shared places can have exponentially many.
     Raises ContactError when a firing would put a second token on a place.
     """
-    if visible_bound < 0:
-        raise ValueError("visible_bound must be nonnegative")
-    if event_limit is None:
-        event_limit = default_event_limit(visible_bound)
-    if event_limit < 0:
-        raise ValueError("event_limit must be nonnegative")
+    event_limit = _event_limit(visible_bound, event_limit)
     if process_limit is not None and process_limit < 1:
         raise ValueError("process_limit must be at least 1")
     table = net._table
@@ -311,21 +299,6 @@ class Pomset(NamedTuple):
         return (f"events: {events}" if events else "events:") + "\n" + (
             f"order: {pairs}" if pairs else "order:"
         ) + "\n"
-
-
-def _discrete(colours: dict, order: Iterable[tuple]) -> Pomset | None:
-    """The canonical form of an order, given as its distinct pairs, whose
-    initial colouring ``colours`` (vertex -> (depth, label, indegree,
-    outdegree)) is discrete, else None.
-
-    A discrete colouring is a fixed point of refinement and has no class to
-    split, so its encoding is the canonical form."""
-    if len(set(colours.values())) < len(colours):
-        return None
-    ranked = sorted(colours, key=colours.__getitem__)
-    position = dict(zip(ranked, range(len(ranked))))
-    return Pomset(labels=tuple(colours[v][1] for v in ranked),
-                  order=tuple(sorted([(position[u], position[v]) for u, v in order])))
 
 
 def canonicalize(labels: Sequence[str], order: Iterable[tuple[int, int]]) -> Pomset:
@@ -426,13 +399,10 @@ def visible_pomset(process: Process) -> Pomset:
 
 
 def visible_pomsets(processes: Iterable[Process]) -> list[Pomset]:
-    """``visible_pomset`` of each process, built once per distinct visible
-    set.  The prefix stores each visible event's depth, label, in-degree and
-    visible past; one pass over those pasts gives the set's out-degrees and
-    order pairs.  When that initial colouring is discrete its encoding is the
-    canonical form; otherwise the set's index form is canonicalised, once
-    per distinct form."""
+    """``visible_pomset`` of each process, built by ``_pomset`` from the
+    prefix's visible pasts once per distinct visible set."""
     done: dict[tuple[_Prefix, int], Pomset] = {}
+    memo: dict[_Prefix, dict] = {}
     forms: dict[tuple, Pomset] = {}
     pomsets = []
     for process in processes:
@@ -440,22 +410,114 @@ def visible_pomsets(processes: Iterable[Process]) -> list[Pomset]:
         key = (prefix, process.config & prefix.visible)
         pomset = done.get(key)
         if pomset is None:
-            events = list(_bits(key[1]))
-            preds, colour = prefix.preds, prefix.colour
-            pairs = [(u, e) for e in events for u in preds[e]]
-            outdeg = dict.fromkeys(events, 0)
-            for u, _ in pairs:
-                outdeg[u] += 1
-            pomset = _discrete({e: (*colour[e], outdeg[e]) for e in events}, pairs)
-            if pomset is None:
-                # the index form: labels in ascending prefix order, pairs of indices
-                index = dict(zip(events, range(len(events))))
-                form = (tuple(colour[e][1] for e in events),
-                        tuple((index[u], index[v]) for u, v in pairs))
-                pomset = forms.get(form)
-                if pomset is None:
-                    # through the module global, so a wrapper installed on it sees each call
-                    pomset = forms[form] = canonicalize(*form)
-            done[key] = pomset
+            pomset = done[key] = _pomset(key[1], prefix.trans, prefix.net.labelling,
+                                         prefix.vpast, memo.setdefault(prefix, {}), forms)
         pomsets.append(pomset)
     return pomsets
+
+
+def _pomset(vset: int, trans: Sequence[str], labelling: Mapping[str, str],
+            vpast: Sequence[int], memo: dict[int, tuple], forms: dict[tuple, Pomset]) -> Pomset:
+    """The pomset of the visible events in the mask ``vset``: event ``e`` is
+    an occurrence of ``trans[e]`` after the visible events ``vpast[e]``.
+    ``memo`` keeps per event its longest-chain depth, label, in-degree and
+    predecessors, which no visible set changes.
+
+    A discrete initial colouring (depth, label, in-degree, out-degree) is a
+    fixed point of refinement, so its encoding is the canonical form;
+    otherwise the index form (labels in ascending event order, pairs of
+    indices) is canonicalised, once per form in ``forms``."""
+    events = list(_bits(vset))
+    for e in events:  # ascending, so the events before e are in the memo first
+        if e not in memo:
+            below = tuple(_bits(vpast[e]))
+            depth = max([memo[u][0] + 1 for u in below], default=0)
+            memo[e] = (depth, labelling[trans[e]], len(below), below)
+    pairs = [(u, e) for e in events for u in memo[e][3]]
+    outdeg = dict.fromkeys(events, 0)
+    for u, _ in pairs:
+        outdeg[u] += 1
+    colours = {e: (*memo[e][:3], outdeg[e]) for e in events}
+    if len(set(colours.values())) == len(colours):
+        ranked = sorted(events, key=colours.__getitem__)
+        position = dict(zip(ranked, range(len(ranked))))
+        return Pomset(labels=tuple([colours[e][1] for e in ranked]),
+                      order=tuple(sorted([(position[u], position[v]) for u, v in pairs])))
+    index = dict(zip(events, range(len(events))))
+    form = (tuple([memo[e][1] for e in events]), tuple((index[u], index[v]) for u, v in pairs))
+    pomset = forms.get(form)
+    if pomset is None:
+        # through the module global, so a wrapper installed on it sees each call
+        pomset = forms[form] = canonicalize(*form)
+    return pomset
+
+
+def _observe(net: LabelledNet, visible_bound: int, event_limit: int | None
+             ) -> tuple[set[Pomset], set[Pomset], bool]:
+    """The pomsets of the maximal processes and of the others with exactly
+    ``visible_bound`` visible events, and whether the event limit cut an
+    extension within the bound, as ``enumerate_processes`` shows them.
+
+    Breadth-first over states, which fix a process's future: the marked
+    places, per marked place the visible events its token depends on, the
+    visible events and the event count.  States come in the order of their
+    first processes, so the first contact is the one enumeration meets.  A
+    visible event is numbered once, under ``(t, visible events before it,
+    n)``: ``n`` counts the concurrent occurrences of an input-less ``t``."""
+    event_limit = _event_limit(visible_bound, event_limit)
+    table = net._table
+    # per transition the indices of its preset and postset places (bit i is place i)
+    fire = {t: (list(_bits(took)), list(_bits(put)), took, put)
+            for t, (_, _, took, put, _) in table.moves.items()}
+    ids: dict[tuple, int] = {}  # (t, visible events before it, n) -> visible event
+    trans, vpast = [], []  # per visible event: its transition, the visible events before it
+    covered: dict[int, list] = {}  # marked mask -> table.covered of it
+    shown: set[tuple[int, bool]] = set()  # (visible set, shown by a maximal state)
+    divergent = False
+    start = (table.mask(net.initial_marking), (0,) * len(table.places), 0, 0)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        marked, deps, vset, count = queue.popleft()
+        moves = covered.get(marked)
+        if moves is None:
+            moves = covered[marked] = table.covered(marked)
+        at_bound = vset.bit_count() == visible_bound
+        if at_bound or not moves:
+            shown.add((vset, not moves))
+        for t, contact, visible in moves:
+            if visible and at_bound:
+                continue
+            if contact:
+                raise ContactError(t, min(table.marking(contact)), table.marking(marked))
+            if count >= event_limit:
+                divergent = True
+                continue
+            pre, post, took, put = fire[t]
+            past = 0
+            for i in pre:
+                past |= deps[i]
+            if visible:
+                n = 0
+                while (e := ids.get((t, past, n))) is not None and vset >> e & 1:
+                    n += 1
+                if e is None:
+                    e = ids[t, past, n] = len(trans)
+                    trans.append(t)
+                    vpast.append(past)
+                past |= 1 << e
+            tokens = list(deps)
+            for i in pre:
+                tokens[i] = 0
+            for i in post:
+                tokens[i] = past
+            state = (marked - took | put, tuple(tokens), vset | past, count + 1)
+            if state not in seen:
+                seen.add(state)
+                queue.append(state)
+    memo: dict[int, tuple] = {}
+    forms: dict[tuple, Pomset] = {}
+    observed: tuple[set[Pomset], set[Pomset]] = (set(), set())  # partial, complete
+    for vset, maximal in shown:
+        observed[maximal].add(_pomset(vset, trans, net.labelling, vpast, memo, forms))
+    return observed[True], observed[False], divergent

@@ -709,6 +709,23 @@ def validate_occurrence_net(net: cn.LabelledNet, occ: cn.LabelledNet, folding: d
         raise ValueError("initial conditions do not match the initial marking")
 
 
+# --- bounded observation through processes ------------------------------------
+
+
+def process_observation(net: cn.LabelledNet, k: int, event_limit: int | None = None,
+                        process_limit: int | None = None) -> cn.BoundedObservation:
+    """``bounded_observation`` from every process: ``enumerate_processes``
+    builds each one and ``visible_pomsets`` reads its visible set."""
+    entries = cn.enumerate_processes(net, k, event_limit, process_limit)
+    shown = [e for e in entries if e.maximal or e.process.visible_count == k]
+    complete: set = set()
+    partial: set = set()
+    for entry, pomset in zip(shown, cn.visible_pomsets(e.process for e in shown)):
+        (complete if entry.maximal else partial).add(pomset)
+    divergent = any(e.saturated for e in entries)
+    return cn.BoundedObservation(frozenset(complete), frozenset(partial), k, divergent)
+
+
 # --- misc ----------------------------------------------------------------------
 
 

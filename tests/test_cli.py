@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import hashlib
+import os
 import random
 import re
+import resource
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -333,6 +336,29 @@ class TestUnfoldAndPomsets:
             assert code == 2
             assert out == ""
             assert "transition t" in err and "place r" in err
+
+    def test_pomsets_on_two_invisible_self_loops(self, tmp_path):
+        # 2^(L+1) - 1 processes at event limit L, but only L + 1 states: at
+        # the default limit pomsets ends under a memory cap, in a subprocess
+        # so that a regression fails here instead of exhausting memory
+        path = tmp_path / "two_loops.net"
+        path.write_text("place p *\ntrans t0\ntrans t1\n"
+                        "arc p -> t0\narc t0 -> p\narc p -> t1\narc t1 -> p\n")
+        src = str(ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")])))
+        cap = 256 << 20
+
+        def capped():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        pinned = {"0": "complete:\npartial:\nevents:\norder:\ndivergent: yes\n",
+                  "3": "complete:\npartial:\ndivergent: yes\n"}
+        for k, out in pinned.items():
+            done = subprocess.run(
+                [sys.executable, "-m", "causalnets.cli", "pomsets", str(path), "-k", k],
+                env=env, capture_output=True, text=True, timeout=60, preexec_fn=capped)
+            assert (done.returncode, done.stdout, done.stderr) == (0, out, ""), k
 
 
 class TestContact:

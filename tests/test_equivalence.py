@@ -1,5 +1,8 @@
 """Bounded observations, comparison verdicts, local deadlocks."""
 
+import random
+from collections import Counter
+
 import pytest
 
 import causalnets as cn
@@ -11,6 +14,7 @@ from helpers import (
     plain_enabled,
     plain_fire,
     pomset,
+    process_observation,
     random_net,
     random_tractable_nets,
 )
@@ -58,6 +62,80 @@ class TestBoundedObservation:
         )
         obs = cn.bounded_observation(looping, 1, event_limit=6)
         assert obs.divergent
+
+
+class TestAgainstProcesses:
+    """The search over states against every process of the unfolding."""
+
+    LIMITS = (None, 0, 2, 5, 12)
+
+    @staticmethod
+    def outcome(observe, net, k, event_limit):
+        try:
+            return observe(net, k, event_limit)
+        except cn.ContactError as exc:
+            return str(exc), exc.transition, exc.place, exc.marking
+
+    def agree(self, net, bounds=range(4)):
+        """The cases compared, and how many of them met contact; a case whose
+        processes pass the process limit is skipped."""
+        cases = contacts = 0
+        for event_limit in self.LIMITS:
+            for k in bounds:
+                try:
+                    want = self.outcome(
+                        lambda *a: process_observation(*a, process_limit=200), net, k, event_limit)
+                except cn.LimitExceededError:
+                    continue
+                assert self.outcome(cn.bounded_observation, net, k, event_limit) == want, (
+                    cn.serialize_net(net), k, event_limit)
+                cases += 1
+                contacts += not isinstance(want, cn.BoundedObservation)
+        return cases, contacts
+
+    def test_seeded_random_nets(self):
+        rng = random.Random(2710)
+        totals = [self.agree(random_net(rng, max_places=5, max_transitions=5, tau_prob=0.5))
+                  for _ in range(600)]
+        # cases compared and cases ending in contact, over 600 draws
+        assert [sum(column) for column in zip(*totals)] == [11745, 2748]
+
+    def test_input_less_transitions(self):
+        nets = [
+            # visible t fills p and u empties it; from k=2 on, t meets its own
+            # token on p before u takes it
+            cn.make_net(["p"], ["t", "u"], [("t", "p"), ("p", "u")], [], {"t": "a"}),
+            cn.make_net(["p"], ["t", "u"], [("t", "p"), ("p", "u")], [], {"t": "a", "u": "b"}),
+            # g, h and s touch no place: concurrent a-events without causes
+            cn.make_net(["p", "r"], ["g", "h", "s", "t"], [("p", "t"), ("t", "r")], ["p"],
+                        {"g": "a", "h": "a", "s": "b"}),
+            # beside an invisible self-loop, which diverges
+            cn.make_net(["p"], ["g", "t"], [("p", "t"), ("t", "p")], ["p"], {"g": "a"}),
+        ]
+        assert [self.agree(net, range(5)) for net in nets] == [(25, 12), (25, 12), (25, 0), (22, 0)]
+
+    def test_builds_no_process(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("enumerate_processes", "visible_pomsets"):
+            original = getattr(cn.unfolding, name)
+            for module in (cn, cn.unfolding, cn.equivalence):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted(name, original))
+        monkeypatch.setattr(cn.unfolding.Process, "__init__",
+                            counted("Process", cn.unfolding.Process.__init__))
+        for name in cn.BUILTIN_NAMES:
+            cn.bounded_observation(fig(name), 3)
+        cn.compare(fig("repeated_pure_m"), fig("centralised"), 4)
+        assert calls == Counter()
+        process_observation(fig("pure_m"), 2)  # the counters see the process path
+        assert set(calls) == {"enumerate_processes", "visible_pomsets", "Process"}
 
 
 class TestCompare:
