@@ -47,14 +47,15 @@ class _Prefix:
     Conditions and events are numbered from 0 in creation order, which is a
     causal order; conditions ``0 .. len(initial marking) - 1`` are the
     initial ones, one per marked place in sorted order.  An event is stored
-    once, under the key ``(t, consumed condition ids)``, or ``(t, n)`` for
-    the n-th occurrence of an input-less ``t``.  Per event the prefix keeps
-    its transition, the conditions it consumes and produces, and the mask of
-    the visible events strictly before it, which a configuration holds whole.
+    once, under the key ``(t, consumed condition ids, n)``, where ``n`` counts
+    the events under the same ``(t, ids)`` already in the configuration: only
+    an input-less ``t`` has any.  Per event the prefix keeps its transition,
+    the conditions it consumes and produces, and the mask of the visible
+    events strictly before it, which a configuration holds whole.
     """
 
     __slots__ = ("net", "moves", "cond_place", "cond_producer", "index", "trans",
-                 "pre", "post", "vpast", "visible", "inputless", "_names")
+                 "pre", "post", "vpast", "visible", "_names")
 
     def __init__(self, net: LabelledNet):
         self.net = net
@@ -67,10 +68,10 @@ class _Prefix:
         self.post: list[tuple[int, ...]] = []
         self.vpast: list[int] = []
         self.visible = 0  # mask of the visible events
-        self.inputless: dict[str, list[int]] = {}  # t -> its input-less events, 1st, 2nd, ...
         self._names: dict[int, tuple] = {}
 
-    def add_event(self, key: tuple, t: str, chosen: tuple[int, ...]) -> int:
+    def add_event(self, key: tuple) -> int:
+        t, chosen, _ = key
         e = len(self.trans)
         _, places, _, _, visible = self.moves[t]
         vpast = 0
@@ -87,8 +88,6 @@ class _Prefix:
         self.post.append(tuple(range(base, base + len(places))))
         self.cond_place.extend(places)
         self.cond_producer.extend([e] * len(places))
-        if not chosen:
-            self.inputless[t].append(e)
         return e
 
     def name(self, e: int) -> tuple:
@@ -99,8 +98,8 @@ class _Prefix:
             t, chosen = self.trans[e], self.pre[e]
             if chosen:
                 name = ("e", t, frozenset(self._cond_name(c) for c in chosen))
-            else:
-                name = ("e0", t, self.inputless[t].index(e))
+            else:  # the n of its key (t, (), n)
+                name = ("e0", t, next(n for n in range(e + 1) if self.index[t, (), n] == e))
             self._names[e] = name
         return name
 
@@ -162,17 +161,10 @@ def _extension(process: Process, t: str, contact: int) -> int:
         table = prefix.net._table
         raise ContactError(t, min(table.marking(contact)), table.marking(process.marked))
     chosen = tuple([process.end[place] for place in prefix.moves[t][0]])
-    if chosen:
-        key = (t, chosen)
-    else:
-        # input-less events are interchangeable; number them per transition
-        occurrences = prefix.inputless.setdefault(t, [])
-        n = 0
-        while n < len(occurrences) and process.config >> occurrences[n] & 1:
-            n += 1
-        key = (t, n)
-    e = prefix.index.get(key)
-    return prefix.add_event(key, t, chosen) if e is None else e
+    n = 0
+    while (e := prefix.index.get((t, chosen, n))) is not None and process.config >> e & 1:
+        n += 1
+    return prefix.add_event((t, chosen, n)) if e is None else e
 
 
 def _extend(process: Process, e: int) -> Process:
@@ -357,10 +349,9 @@ def canonicalize(labels: Sequence[str], order: Iterable[tuple[int, int]]) -> Pom
             colors = new
 
     def encode(colors: list[int]):
-        position = [0] * n
-        for rank, i in enumerate(sorted(range(n), key=colors.__getitem__)):
-            position[i] = rank
-        labs = tuple(labels[i] for i in sorted(range(n), key=colors.__getitem__))
+        ranked = sorted(range(n), key=colors.__getitem__)
+        position = dict(zip(ranked, range(n)))
+        labs = tuple(labels[i] for i in ranked)
         pairs = tuple(sorted((position[u], position[v]) for u in range(n) for v in succ[u]))
         return labs, pairs
 
@@ -462,8 +453,9 @@ def _observe(net: LabelledNet, visible_bound: int, event_limit: int | None
     places, per marked place the visible events its token depends on, the
     visible events and the event count.  States come in the order of their
     first processes, so the first contact is the one enumeration meets.  A
-    visible event is numbered once, under ``(t, visible events before it,
-    n)``: ``n`` counts the concurrent occurrences of an input-less ``t``."""
+    visible event is numbered once, under ``(t, visible events before it, n)``
+    with ``n`` as in a ``_Prefix`` key: the events under that ``(t, before)``
+    already in the state."""
     event_limit = _event_limit(visible_bound, event_limit)
     table = net._table
     # per transition the indices of its preset and postset places (bit i is place i)

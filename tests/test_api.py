@@ -12,6 +12,8 @@ import pytest
 import causalnets as cn
 from causalnets import distributability, equivalence, model, semantics, unfolding
 
+from test_unfolding import input_less_net
+
 # Names the tests keep in helpers.py; no program, demo or benchmark uses them.
 TEST_ONLY = (
     "enabled_steps", "dependency_classes", "DependencyClass", "NotACycleError", "net_end",
@@ -242,3 +244,19 @@ def test_pomsets_sort_by_labels_then_order():
     assert sorted(pomsets) == sorted(pomsets, key=lambda p: (p.labels, p.order))
     assert [len(p) for p in pomsets] == [len(p.labels) for p in pomsets]
     assert not cn.Pomset((), ()) and cn.Pomset(("a",), ())
+
+
+def test_one_key_form_for_prefix_events():
+    # every prefix event is keyed (transition, consumed conditions, n); n
+    # counts the earlier occurrences under the same pair in a configuration,
+    # which only an input-less transition can have
+    assert not hasattr(unfolding._Prefix, "inputless")
+    counts = []
+    for net in (input_less_net(), cn.builtin("centralised")):
+        prefix = cn.enumerate_processes(net, 3)[0].process.prefix
+        assert sorted(prefix.index.values()) == list(range(len(prefix.trans)))
+        for (t, chosen, n), e in prefix.index.items():
+            assert (t, chosen) == (prefix.trans[e], prefix.pre[e])
+            assert n == 0 or chosen == ()
+        counts.append(max(n for _, _, n in prefix.index))
+    assert counts[0] > 0 and counts[1] == 0

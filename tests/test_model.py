@@ -1,5 +1,6 @@
 """Net model: parsing, serialization, pre/post sets, the transition table, contact-freeness."""
 
+import hashlib
 import random
 import re
 from itertools import combinations
@@ -405,6 +406,55 @@ PARSE_PIECES = (
     "place", "trans", "arc", "p", "q", "t", "a", "tau", "x-y", "\xe9", "->", ":", "*", "#",
     " ", "  ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x85", "\u2028",
 )
+
+
+# what a seeded token mutation puts in place of or after a token: ids the
+# parser rejects, and words it reads only in one position
+BAD_IDS = ("p-1", "x.y", "\xe9", "->", ":", "*", "tau")
+
+
+def _mutated(rng: random.Random, text: str) -> str:
+    """``text`` after one to three token mutations: drop, duplicate or swap
+    a token, or put a bad id, a tab or a ``#`` comment at one."""
+    pieces = re.split(r"(\s+)", text)  # tokens at even positions, whitespace between
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(0, len(pieces), 2), rng.randrange(0, len(pieces), 2)
+        kind = rng.randrange(6)
+        if kind == 0:
+            pieces[i] = ""
+        elif kind == 1:
+            pieces[i] = rng.choice((f"{pieces[i]} {pieces[i]}", f"{pieces[i]}\n{pieces[i]}"))
+        elif kind == 2:
+            pieces[i], pieces[j] = pieces[j], pieces[i]
+        elif kind == 3:
+            pieces[i] = rng.choice((f"{pieces[i]} ", "")) + rng.choice(BAD_IDS)
+        elif kind == 4:
+            pieces[i] = rng.choice(("\t", " \t")) + pieces[i]
+        else:
+            pieces[i] += " # c" + pieces[j]
+    return "".join(pieces)
+
+
+def test_parse_error_bytes_pinned():
+    # 2,000 seeded broken inputs, mutated from the bundled nets and
+    # random_net draws: each error's line, column and message are pinned,
+    # so a rewrite of the tokeniser must keep them byte for byte
+    rng = random.Random(17)
+    texts = [cn.serialize_net(cn.builtin(name)) for name in cn.BUILTIN_NAMES]
+    texts += [cn.serialize_net(random_net(rng, max_places=5, max_transitions=5))
+              for _ in range(60)]
+    rows = []
+    while len(rows) < 2000:
+        try:
+            cn.parse_net(_mutated(rng, rng.choice(texts)))
+        except NetParseError as exc:
+            rows.append(f"{exc.line}:{exc.column}:{exc.message}\n")
+    # every kind of message TestParse.ERRORS pins by hand is among them
+    kind = re.compile(r"'[^']*'|\S+ -> \S+")
+    assert {kind.sub("_", row.split(":", 2)[2]) for row in rows} >= {
+        kind.sub("_", message) + "\n" for _, message, _, _ in TestParse.ERRORS}
+    assert hashlib.sha256("".join(rows).encode()).hexdigest() == (
+        "3d8d37a25cb41423fda9b2b88cdaea176510c243fbd20d4ce401b85e2be22107")
 
 
 @given(st.lists(st.one_of(st.sampled_from(PARSE_PIECES), st.text(max_size=3)), max_size=40))
