@@ -114,6 +114,12 @@ class _Table:
         return [(t, marked - pre & post, visible)  # marked - pre: pre is marked
                 for t, (_, _, pre, post, visible) in self.moves.items() if pre & marked == pre]
 
+    def contact(self, t: str, contact: int, marked: int) -> ContactError:
+        """The error for ``t`` firing at the place mask (or dependency code)
+        ``marked`` with the nonzero ``contact`` mask ``covered`` gave it: it
+        names the least place in contact."""
+        return ContactError(t, min(self.marking(contact)), self.marking(marked))
+
     @cached_property
     def later(self) -> dict[str, frozenset[str]]:
         """Per transition, the later ones in sorted order with disjoint presets and postsets."""

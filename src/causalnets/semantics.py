@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar
 from .model import (
     DEFAULT_STATE_LIMIT,
     TAU,
-    ContactError,
     DependencyMarking,
     LabelledNet,
     NetError,
@@ -277,7 +276,7 @@ def explore_reachable(
             continue
         for t, contact, _ in covered:
             if contact:
-                raise ContactError(t, min(table.marking(contact)), table.marking(code))
+                raise table.contact(t, contact, code)
             took, put = effect[t]
             after = code - took | put
             j = get(after)

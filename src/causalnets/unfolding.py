@@ -14,22 +14,10 @@ canonical form so that value equality coincides with isomorphism.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .model import ContactError, LabelledNet, UnknownElementError
+from .model import LabelledNet, UnknownElementError
 from .semantics import LimitExceededError
-
-
-def _event_limit(visible_bound: int, event_limit: int | None) -> int:
-    """``event_limit``, by default ``10 * visible_bound + 50``; ValueError
-    when either is negative."""
-    if visible_bound < 0:
-        raise ValueError("visible_bound must be nonnegative")
-    if event_limit is None:
-        event_limit = 10 * visible_bound + 50
-    if event_limit < 0:
-        raise ValueError("event_limit must be nonnegative")
-    return event_limit
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -41,97 +29,168 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class _Prefix:
-    """The branching process shared by the processes grown from one initial
-    process.
+    """The events one ``_search`` numbers: every event, for processes, or
+    with ``every`` unset only the visible ones, for observation.
 
-    Conditions and events are numbered from 0 in creation order, which is a
-    causal order; conditions ``0 .. len(initial marking) - 1`` are the
-    initial ones, one per marked place in sorted order.  An event is stored
-    once, under the key ``(t, consumed condition ids, n)``, where ``n`` counts
-    the events under the same ``(t, ids)`` already in the configuration: only
-    an input-less ``t`` has any.  Per event the prefix keeps its transition,
-    the conditions it consumes and produces, and the mask of the visible
-    events strictly before it, which a configuration holds whole.
+    Events are numbered from 0 in creation order, a causal order, and each
+    is stored once, with its transition and ``past``, under the key ``(t,
+    past, n)``: ``past`` masks the numbered events before it, and ``n``
+    counts the events under the same ``(t, past)`` already in the state,
+    which only an input-less ``t`` can have.  When every event is numbered,
+    ``past`` is the causal past, whose cut on the preset is the conditions
+    the event consumes.  ``visible`` masks the visible events, ``arcs``
+    holds per transition the table indices of its preset and postset places
+    and their masks, and ``start`` is the state before any event.
     """
 
-    __slots__ = ("net", "moves", "cond_place", "cond_producer", "index", "trans",
-                 "pre", "post", "vpast", "visible", "_names")
+    __slots__ = ("net", "every", "arcs", "start", "index", "trans", "past", "visible", "_names")
 
-    def __init__(self, net: LabelledNet):
+    def __init__(self, net: LabelledNet, every: bool):
+        table = net._table
         self.net = net
-        self.moves = net._table.moves  # t -> sorted preset, postset, their masks; visibility
-        self.cond_place: list[str] = sorted(net.initial_marking)
-        self.cond_producer: list[int | None] = [None] * len(self.cond_place)
+        self.every = every
+        self.arcs = {t: (list(_bits(took)), list(_bits(put)), took, put)
+                     for t, (_, _, took, put, _) in table.moves.items()}
+        self.start = (table.mask(net.initial_marking), (0,) * len(table.places), 0, 0)
         self.index: dict[tuple, int] = {}
         self.trans: list[str] = []
-        self.pre: list[tuple[int, ...]] = []
-        self.post: list[tuple[int, ...]] = []
-        self.vpast: list[int] = []
-        self.visible = 0  # mask of the visible events
+        self.past: list[int] = []
+        self.visible = 0
         self._names: dict[int, tuple] = {}
 
-    def add_event(self, key: tuple) -> int:
-        t, chosen, _ = key
-        e = len(self.trans)
-        _, places, _, _, visible = self.moves[t]
-        vpast = 0
-        for c in chosen:
-            p = self.cond_producer[c]
-            if p is not None:  # p's visible past, and p itself when visible
-                vpast |= self.vpast[p] | self.visible & 1 << p
-        self.index[key] = e
-        self.trans.append(t)
-        self.pre.append(chosen)
-        self.vpast.append(vpast)
-        self.visible |= visible << e
-        base = len(self.cond_place)
-        self.post.append(tuple(range(base, base + len(places))))
-        self.cond_place.extend(places)
-        self.cond_producer.extend([e] * len(places))
-        return e
-
     def name(self, e: int) -> tuple:
-        """A structural name for event ``e``, equal for the same event of
-        prefixes built separately from equal nets."""
+        """A structural name for event ``e`` of a prefix that numbers every
+        event, equal for the same event of prefixes built separately from
+        equal nets."""
         name = self._names.get(e)
         if name is None:
-            t, chosen = self.trans[e], self.pre[e]
-            if chosen:
-                name = ("e", t, frozenset(self._cond_name(c) for c in chosen))
-            else:  # the n of its key (t, (), n)
-                name = ("e0", t, next(n for n in range(e + 1) if self.index[t, (), n] == e))
+            t = self.trans[e]
+            pre = self.net._table.moves[t][0]
+            if pre:
+                name = ("e", t, frozenset(self._cond_name(self.past[e], place) for place in pre))
+            else:  # the n of its key (t, 0, n)
+                name = ("e0", t, next(n for n in range(e + 1) if self.index[t, 0, n] == e))
             self._names[e] = name
         return name
 
-    def _cond_name(self, c: int) -> tuple:
-        p = self.cond_producer[c]
-        return ("c0", self.cond_place[c]) if p is None else ("c", self.name(p), self.cond_place[c])
+    def _cond_name(self, past: int, place: str) -> tuple:
+        """The condition on ``place`` after the events ``past``: the one the
+        last of them putting on ``place`` produced, or the initial one."""
+        moves, bit = self.net._table.moves, self.net._table.bit[place]
+        made = [u for u in _bits(past) if moves[self.trans[u]][3] & bit]
+        return ("c", self.name(made[-1]), place) if made else ("c0", place)
+
+
+def _fire(prefix: _Prefix, state: tuple, t: str, visible: bool) -> tuple:
+    """The state after ``t`` fires at ``state`` without contact.  A state is
+    ``(marked, tokens, events, count)``: the marked places' table mask; per
+    place in table order the mask of the numbered events its token depends
+    on; the mask of the numbered events; and the event count.  The firing is
+    numbered when it is visible or the prefix numbers every event."""
+    marked, tokens, events, count = state
+    pre, post, took, put = prefix.arcs[t]
+    past = 0
+    for i in pre:
+        past |= tokens[i]
+    if visible or prefix.every:
+        n = 0
+        while (e := prefix.index.get((t, past, n))) is not None and events >> e & 1:
+            n += 1
+        if e is None:
+            e = prefix.index[t, past, n] = len(prefix.trans)
+            prefix.trans.append(t)
+            prefix.past.append(past)
+            prefix.visible |= visible << e
+        past |= 1 << e
+    tokens = list(tokens)
+    for i in pre:
+        tokens[i] = 0
+    for i in post:
+        tokens[i] = past
+    return marked - took | put, tuple(tokens), events | past, count + 1
+
+
+def _search(prefix: _Prefix, visible_bound: int, event_limit: int | None,
+            process_limit: int | None = None) -> Iterator[tuple[tuple, bool, bool]]:
+    """Each state reachable within the bounds once, breadth-first over sorted
+    transitions, as ``(state, maximal, saturated)``: ``maximal`` when its
+    marking covers no preset, ``saturated`` when the event limit (default
+    ``10 * visible_bound + 50``) cut an extension within the visible bound.
+    A state fixes its future; when every event is numbered it is a process.
+    Raises LimitExceededError past ``process_limit`` states, and ContactError
+    at the first firing within the bound (the event limit too) that would put
+    a second token on a place."""
+    if visible_bound < 0:
+        raise ValueError("visible_bound must be nonnegative")
+    if event_limit is None:
+        event_limit = 10 * visible_bound + 50
+    if event_limit < 0:
+        raise ValueError("event_limit must be nonnegative")
+    if process_limit is not None and process_limit < 1:
+        raise ValueError("process_limit must be at least 1")
+    table = prefix.net._table
+    covered: dict[int, list] = {}  # marked mask -> table.covered of it, for this search
+    seen = {prefix.start}
+    queue = deque([prefix.start])
+    while queue:
+        state = queue.popleft()
+        marked, _, events, count = state
+        moves = covered.get(marked)
+        if moves is None:
+            moves = covered[marked] = table.covered(marked)
+        at_bound = (events & prefix.visible).bit_count() >= visible_bound
+        saturated = False
+        for t, contact, visible in moves:
+            if visible and at_bound:
+                continue
+            if contact:
+                raise table.contact(t, contact, marked)
+            if count >= event_limit:
+                saturated = True
+                continue
+            after = _fire(prefix, state, t, visible)
+            if after in seen:
+                continue
+            if process_limit is not None and len(seen) >= process_limit:
+                raise LimitExceededError(f"process limit {process_limit} exceeded")
+            seen.add(after)
+            queue.append(after)
+        yield state, not moves, saturated
 
 
 class Process:
-    """A configuration of a branching-process prefix.
-
-    ``config`` has bit ``e`` set for each prefix event ``e`` in the process;
-    ``end`` maps each place marked at the end of the process to the prefix
-    condition on it (the net is 1-safe, so there is at most one), and
-    ``marked`` is the table mask of those places.
-    Instances are immutable; extension produces a new process sharing the
-    prefix.  ``key`` is a structural fingerprint: two processes of the same
-    net, built by separate calls or not, are isomorphic as folded occurrence
-    nets exactly when their keys are equal.
+    """A configuration of a prefix that numbers every event: a ``_search``
+    state.  ``config`` has bit ``e`` set for each prefix event ``e`` in it;
+    ``marked`` masks the places marked at its end, and ``tokens`` holds per
+    place in table order the causal past of its token, whose highest bit is
+    its producer (0 when initial or empty).  ``end`` maps each marked place
+    to that producer, None for an initial token.  Instances are immutable;
+    extension produces a new process sharing the prefix.  ``key`` is a
+    structural fingerprint: two processes of the same net, built by separate
+    calls or not, are isomorphic as folded occurrence nets exactly when
+    their keys are equal.
     """
 
-    __slots__ = ("prefix", "config", "end", "marked", "visible_count", "event_count", "_key")
+    __slots__ = ("prefix", "marked", "tokens", "config", "event_count", "_key")
 
-    def __init__(self, prefix: _Prefix, config: int, end: dict[str, int], marked: int,
-                 visible_count: int, event_count: int):
+    def __init__(self, prefix: _Prefix, marked: int, tokens: tuple[int, ...], config: int,
+                 event_count: int):
         self.prefix = prefix
-        self.config = config
-        self.end = end
         self.marked = marked
-        self.visible_count = visible_count
+        self.tokens = tokens
+        self.config = config
         self.event_count = event_count
         self._key = None
+
+    @property
+    def visible_count(self) -> int:
+        return (self.config & self.prefix.visible).bit_count()
+
+    @property
+    def end(self) -> dict[str, int | None]:
+        table = self.prefix.net._table
+        return {place: past.bit_length() - 1 if past else None
+                for place, past in zip(table.places, self.tokens) if self.marked & table.bit[place]}
 
     @property
     def key(self) -> frozenset:
@@ -144,57 +203,42 @@ class Process:
                 f"visible={self.visible_count}, end={sorted(self.end)})")
 
 
+def _own_net(net: LabelledNet, process: Process) -> None:
+    """ValueError unless ``net`` is the net the process was grown from."""
+    if net is not process.prefix.net and net != process.prefix.net:
+        raise ValueError("the process was grown from another net")
+
+
 def initial_process(net: LabelledNet) -> Process:
     """The process with one condition per initially marked place and no
     events, on a new prefix that the processes extended from it share."""
-    prefix = _Prefix(net)
-    end = {place: c for c, place in enumerate(prefix.cond_place)}
-    return Process(prefix, 0, end, net._table.mask(end), 0, 0)
-
-
-def _extension(process: Process, t: str, contact: int) -> int:
-    """The prefix event of one more ``t``, whose preset the process end
-    covers, added to the prefix if new.  ``contact`` is the mask
-    ``net._table.covered`` gives ``t``: ContactError when it is nonzero."""
-    prefix = process.prefix
-    if contact:
-        table = prefix.net._table
-        raise ContactError(t, min(table.marking(contact)), table.marking(process.marked))
-    chosen = tuple([process.end[place] for place in prefix.moves[t][0]])
-    n = 0
-    while (e := prefix.index.get((t, chosen, n))) is not None and process.config >> e & 1:
-        n += 1
-    return prefix.add_event((t, chosen, n)) if e is None else e
-
-
-def _extend(process: Process, e: int) -> Process:
-    prefix = process.prefix
-    t = prefix.trans[e]
-    pre, post, took, put, visible = prefix.moves[t]
-    end = dict(process.end)
-    for place in pre:
-        del end[place]
-    end.update(zip(post, prefix.post[e]))
-    return Process(prefix, process.config | 1 << e, end, process.marked - took | put,
-                   process.visible_count + visible, process.event_count + 1)
+    prefix = _Prefix(net, True)
+    return Process(prefix, *prefix.start)
 
 
 def extend_process(net: LabelledNet, process: Process, t: str) -> Process | None:
     """Replay one firing of ``t`` at the end of the process, if possible.
 
-    ``net`` is the net the process was grown from.  Raises ContactError when
-    the firing would put a second token on a place (the net has contact)."""
+    ``net`` is the net the process was grown from (ValueError otherwise).
+    Raises ContactError when the firing would put a second token on a place
+    (the net has contact)."""
+    _own_net(net, process)
     if t not in net.transitions:
         raise UnknownElementError(f"unknown transition {t!r}")
-    for u, contact, _ in net._table.covered(process.marked):
+    for u, contact, visible in net._table.covered(process.marked):
         if u == t:
-            return _extend(process, _extension(process, t, contact))
+            if contact:
+                raise net._table.contact(t, contact, process.marked)
+            state = (process.marked, process.tokens, process.config, process.event_count)
+            return Process(process.prefix, *_fire(process.prefix, state, t, visible))
     return None
 
 
 def is_maximal(net: LabelledNet, process: Process) -> bool:
     """True when the process end covers no transition's preset; a firing
-    that would put a second token on a place still counts as covered."""
+    that would put a second token on a place still counts as covered.
+    ``net`` is the net the process was grown from (ValueError otherwise)."""
+    _own_net(net, process)
     return not net._table.covered(process.marked)
 
 
@@ -215,49 +259,23 @@ def enumerate_processes(
 ) -> list[ProcessEntry]:
     """All processes with at most ``visible_bound`` visible events.
 
-    The processes are configurations of one prefix, grown breadth-first
-    over sorted transitions and deduplicated by their event sets, so
-    distinct interleavings of independent firings appear once.  Invisible
-    events are capped only by ``event_limit`` (default
-    ``10 * visible_bound + 50``); a process whose permitted extensions were
-    cut off by that cap is flagged ``saturated``, which signals a potential
-    divergence.
+    The processes are configurations of one prefix, found by ``_search``
+    with every event numbered: breadth-first over sorted transitions and
+    deduplicated by their event sets, so distinct interleavings of
+    independent firings appear once.  Invisible events are capped only by
+    ``event_limit`` (default ``10 * visible_bound + 50``); a process whose
+    permitted extensions were cut off by that cap is flagged ``saturated``,
+    which signals a potential divergence.
 
     ``process_limit``, when given, aborts with LimitExceededError once the
     closure grows past that many distinct processes; nets whose invisible
     transitions chain through shared places can have exponentially many.
     Raises ContactError when a firing would put a second token on a place.
     """
-    event_limit = _event_limit(visible_bound, event_limit)
-    if process_limit is not None and process_limit < 1:
-        raise ValueError("process_limit must be at least 1")
-    table = net._table
-    covered: dict[int, list] = {}  # marked mask -> table.covered of it, for this call
-    seen = {0}
-    queue = deque([initial_process(net)])
-    entries: list[ProcessEntry] = []
-    while queue:
-        process = queue.popleft()
-        saturated = False
-        moves = covered.get(process.marked)
-        if moves is None:
-            moves = covered[process.marked] = table.covered(process.marked)
-        for t, contact, visible in moves:
-            if visible and process.visible_count >= visible_bound:
-                continue
-            if process.event_count >= event_limit and not contact:
-                saturated = True  # a contact still raises, from _extension
-                continue
-            e = _extension(process, t, contact)
-            config = process.config | 1 << e
-            if config in seen:
-                continue
-            if process_limit is not None and len(seen) >= process_limit:
-                raise LimitExceededError(f"process limit {process_limit} exceeded")
-            seen.add(config)
-            queue.append(_extend(process, e))
-        entries.append(ProcessEntry(process, not moves, saturated))
-    return entries
+    prefix = _Prefix(net, True)
+    return [ProcessEntry(Process(prefix, *state), maximal, saturated)
+            for state, maximal, saturated in _search(prefix, visible_bound, event_limit,
+                                                     process_limit)]
 
 
 # --- labelled partial orders and pomsets -------------------------------------
@@ -391,7 +409,7 @@ def visible_pomset(process: Process) -> Pomset:
 
 def visible_pomsets(processes: Iterable[Process]) -> list[Pomset]:
     """``visible_pomset`` of each process, built by ``_pomset`` from the
-    prefix's visible pasts once per distinct visible set."""
+    prefix's pasts once per distinct visible set."""
     done: dict[tuple[_Prefix, int], Pomset] = {}
     memo: dict[_Prefix, dict] = {}
     forms: dict[tuple, Pomset] = {}
@@ -401,18 +419,18 @@ def visible_pomsets(processes: Iterable[Process]) -> list[Pomset]:
         key = (prefix, process.config & prefix.visible)
         pomset = done.get(key)
         if pomset is None:
-            pomset = done[key] = _pomset(key[1], prefix.trans, prefix.net.labelling,
-                                         prefix.vpast, memo.setdefault(prefix, {}), forms)
+            pomset = done[key] = _pomset(key[1], prefix, memo.setdefault(prefix, {}), forms)
         pomsets.append(pomset)
     return pomsets
 
 
-def _pomset(vset: int, trans: Sequence[str], labelling: Mapping[str, str],
-            vpast: Sequence[int], memo: dict[int, tuple], forms: dict[tuple, Pomset]) -> Pomset:
+def _pomset(vset: int, prefix: _Prefix, memo: dict[int, tuple],
+            forms: dict[tuple, Pomset]) -> Pomset:
     """The pomset of the visible events in the mask ``vset``: event ``e`` is
-    an occurrence of ``trans[e]`` after the visible events ``vpast[e]``.
-    ``memo`` keeps per event its longest-chain depth, label, in-degree and
-    predecessors, which no visible set changes.
+    an occurrence of ``prefix.trans[e]`` after the visible events
+    ``prefix.past[e] & prefix.visible``.  ``memo`` keeps per event its
+    longest-chain depth, label, in-degree and predecessors, which no visible
+    set changes.
 
     A discrete initial colouring (depth, label, in-degree, out-degree) is a
     fixed point of refinement, so its encoding is the canonical form;
@@ -421,9 +439,9 @@ def _pomset(vset: int, trans: Sequence[str], labelling: Mapping[str, str],
     events = list(_bits(vset))
     for e in events:  # ascending, so the events before e are in the memo first
         if e not in memo:
-            below = tuple(_bits(vpast[e]))
+            below = tuple(_bits(prefix.past[e] & prefix.visible))
             depth = max([memo[u][0] + 1 for u in below], default=0)
-            memo[e] = (depth, labelling[trans[e]], len(below), below)
+            memo[e] = (depth, prefix.net.labelling[prefix.trans[e]], len(below), below)
     pairs = [(u, e) for e in events for u in memo[e][3]]
     outdeg = dict.fromkeys(events, 0)
     for u, _ in pairs:
@@ -449,67 +467,19 @@ def _observe(net: LabelledNet, visible_bound: int, event_limit: int | None
     ``visible_bound`` visible events, and whether the event limit cut an
     extension within the bound, as ``enumerate_processes`` shows them.
 
-    Breadth-first over states, which fix a process's future: the marked
-    places, per marked place the visible events its token depends on, the
-    visible events and the event count.  States come in the order of their
-    first processes, so the first contact is the one enumeration meets.  A
-    visible event is numbered once, under ``(t, visible events before it, n)``
-    with ``n`` as in a ``_Prefix`` key: the events under that ``(t, before)``
-    already in the state."""
-    event_limit = _event_limit(visible_bound, event_limit)
-    table = net._table
-    # per transition the indices of its preset and postset places (bit i is place i)
-    fire = {t: (list(_bits(took)), list(_bits(put)), took, put)
-            for t, (_, _, took, put, _) in table.moves.items()}
-    ids: dict[tuple, int] = {}  # (t, visible events before it, n) -> visible event
-    trans, vpast = [], []  # per visible event: its transition, the visible events before it
-    covered: dict[int, list] = {}  # marked mask -> table.covered of it
+    ``_search`` numbers only the visible events here, so its tokens depend
+    on visible events alone.  A state fixes a process's future and visible
+    pomset, so the processes with equal states are extended once."""
+    prefix = _Prefix(net, False)
     shown: set[tuple[int, bool]] = set()  # (visible set, shown by a maximal state)
     divergent = False
-    start = (table.mask(net.initial_marking), (0,) * len(table.places), 0, 0)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        marked, deps, vset, count = queue.popleft()
-        moves = covered.get(marked)
-        if moves is None:
-            moves = covered[marked] = table.covered(marked)
-        at_bound = vset.bit_count() == visible_bound
-        if at_bound or not moves:
-            shown.add((vset, not moves))
-        for t, contact, visible in moves:
-            if visible and at_bound:
-                continue
-            if contact:
-                raise ContactError(t, min(table.marking(contact)), table.marking(marked))
-            if count >= event_limit:
-                divergent = True
-                continue
-            pre, post, took, put = fire[t]
-            past = 0
-            for i in pre:
-                past |= deps[i]
-            if visible:
-                n = 0
-                while (e := ids.get((t, past, n))) is not None and vset >> e & 1:
-                    n += 1
-                if e is None:
-                    e = ids[t, past, n] = len(trans)
-                    trans.append(t)
-                    vpast.append(past)
-                past |= 1 << e
-            tokens = list(deps)
-            for i in pre:
-                tokens[i] = 0
-            for i in post:
-                tokens[i] = past
-            state = (marked - took | put, tuple(tokens), vset | past, count + 1)
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
+    for (_, _, vset, _), maximal, saturated in _search(prefix, visible_bound, event_limit):
+        divergent |= saturated
+        if maximal or vset.bit_count() == visible_bound:
+            shown.add((vset, maximal))
     memo: dict[int, tuple] = {}
     forms: dict[tuple, Pomset] = {}
     observed: tuple[set[Pomset], set[Pomset]] = (set(), set())  # partial, complete
     for vset, maximal in shown:
-        observed[maximal].add(_pomset(vset, trans, net.labelling, vpast, memo, forms))
+        observed[maximal].add(_pomset(vset, prefix, memo, forms))
     return observed[True], observed[False], divergent

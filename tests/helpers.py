@@ -125,13 +125,13 @@ def canonical(o: NamedOrder) -> cn.Pomset:
 
 def visible_index_form(process: cn.Process) -> tuple[tuple[str, ...], frozenset]:
     """The labels of the process's visible events in ascending prefix order
-    and the order pairs between their indices, read from ``prefix.vpast``."""
+    and the order pairs between their indices, read from ``prefix.past``."""
     prefix = process.prefix
     visible = list(_bits(process.config & prefix.visible))
     index = {e: i for i, e in enumerate(visible)}
     labels = tuple(prefix.net.labelling[prefix.trans[e]] for e in visible)
     pairs = frozenset((index[u], index[v]) for v in visible for u in visible
-                      if prefix.vpast[v] >> u & 1)
+                      if prefix.past[v] >> u & 1)
     return labels, pairs
 
 
@@ -605,18 +605,38 @@ def plain_fire(net: cn.LabelledNet, marking: frozenset, step) -> frozenset:
     return (marking - consumed) | produced
 
 
-def _condition_ids(process: cn.Process) -> list[int]:
-    ids = list(range(len(process.prefix.net.initial_marking)))
+def _replay(process: cn.Process) -> tuple[list[tuple], dict[int, list[tuple]]]:
+    """The process's conditions, each a pair (producer event or None, place),
+    and per event the conditions it consumes.  The events are replayed in
+    ascending prefix order, a causal order, from the initial conditions:
+    each consumes the condition on every place of its preset.  ValueError
+    when one finds a preset place empty or a postset place full."""
+    net = process.prefix.net
+    cut = {place: (None, place) for place in sorted(net.initial_marking)}
+    conds = list(cut.values())
+    consumed = {}
     for e in _bits(process.config):
-        ids.extend(process.prefix.post[e])
-    return ids
+        t = process.prefix.trans[e]
+        if not net._preset[t] <= cut.keys() or (cut.keys() - net._preset[t]) & net._postset[t]:
+            raise ValueError(f"event e{e + 1} ({t}) cannot fire at its cut")
+        consumed[e] = [cut.pop(place) for place in sorted(net._preset[t])]
+        for place in sorted(net._postset[t]):
+            cut[place] = (e, place)
+            conds.append((e, place))
+    return conds, consumed
 
 
-# Conditions ``c<i>`` and events ``e<i>`` are named after their prefix ids.
+# Events ``e<i>`` are named after their prefix ids, conditions ``c<i>_<place>``
+# after their producer ``e<i>`` (``c0_<place>`` for an initial one) and place.
+
+
+def _cond(c: tuple) -> str:
+    e, place = c
+    return f"c{0 if e is None else e + 1}_{place}"
 
 
 def conditions(process: cn.Process) -> tuple[str, ...]:
-    return tuple(f"c{c + 1}" for c in _condition_ids(process))
+    return tuple(map(_cond, _replay(process)[0]))
 
 
 def events(process: cn.Process) -> tuple[str, ...]:
@@ -629,40 +649,44 @@ def event_trans(process: cn.Process) -> dict[str, str]:
 
 
 def producer(process: cn.Process) -> dict:
-    made_by = process.prefix.cond_producer
-    return {
-        f"c{c + 1}": None if made_by[c] is None else f"e{made_by[c] + 1}"
-        for c in _condition_ids(process)
-    }
+    return {_cond(c): None if c[0] is None else f"e{c[0] + 1}" for c in _replay(process)[0]}
 
 
 def fold(process: cn.Process) -> dict[str, str]:
     """Conditions to the places and events to the transitions they fold onto."""
-    merged = {f"c{c + 1}": process.prefix.cond_place[c] for c in _condition_ids(process)}
+    merged = {_cond(c): c[1] for c in _replay(process)[0]}
     merged.update(event_trans(process))
     return merged
 
 
 def occ_net(process: cn.Process) -> cn.LabelledNet:
     """The process as an occurrence net labelled like the original net."""
-    prefix = process.prefix
-    flow = set()
-    for e in _bits(process.config):
-        flow.update((f"c{c + 1}", f"e{e + 1}") for c in prefix.pre[e])
-        flow.update((f"e{e + 1}", f"c{c + 1}") for c in prefix.post[e])
+    conds, consumed = _replay(process)
+    flow = {(_cond(c), f"e{e + 1}") for e, taken in consumed.items() for c in taken}
+    flow.update((f"e{c[0] + 1}", _cond(c)) for c in conds if c[0] is not None)
     trans = event_trans(process)
     return cn.LabelledNet(
-        places=frozenset(conditions(process)),
+        places=frozenset(map(_cond, conds)),
         transitions=frozenset(trans),
         flow=frozenset(flow),
-        initial_marking=frozenset(f"c{c + 1}" for c in range(len(prefix.net.initial_marking))),
-        labelling={e: prefix.net.labelling[t] for e, t in trans.items()},
+        initial_marking=frozenset(_cond(c) for c in conds if c[0] is None),
+        labelling={e: process.prefix.net.labelling[t] for e, t in trans.items()},
     )
 
 
 def validate_process(net: cn.LabelledNet, process: cn.Process) -> None:
-    """Check that the process is an occurrence net folding onto ``net``."""
+    """Check that the process is an occurrence net folding onto ``net``, and
+    that its prefix keeps each event's causal past: the events before the
+    conditions it consumes, and their producers."""
     validate_occurrence_net(net, occ_net(process), fold(process))
+    past: dict[int, int] = {}
+    for e, taken in _replay(process)[1].items():  # ascending, producers first
+        past[e] = 0
+        for u, _ in taken:
+            if u is not None:
+                past[e] |= past[u] | 1 << u
+        if past[e] != process.prefix.past[e]:
+            raise ValueError(f"event e{e + 1} has the wrong past")
 
 
 def validate_occurrence_net(net: cn.LabelledNet, occ: cn.LabelledNet, folding: dict) -> None:

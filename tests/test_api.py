@@ -103,9 +103,38 @@ def test_preset_sharing_is_read_from_the_table():
     assert not hasattr(distributability, "_shared_preplace_graph")
 
 
-def test_prefix_moves_are_the_table_entry():
-    net = cn.builtin("centralised")
-    assert cn.initial_process(net).prefix.moves is net._table.moves
+def test_prefix_keeps_no_conditions():
+    # a prefix keeps per event its transition and past; a process holds its
+    # tokens' pasts, so no condition is numbered and no table entry copied
+    kept = ("moves", "pre", "post", "cond_place", "cond_producer", "vpast")
+    prefix = cn.initial_process(cn.builtin("centralised")).prefix
+    assert [name for name in kept
+            if hasattr(unfolding._Prefix, name) or hasattr(prefix, name)] == []
+
+
+@pytest.fixture
+def searched(monkeypatch) -> list:
+    """The prefix of each ``unfolding._search`` run, in call order."""
+    prefixes = []
+    search = unfolding._search
+
+    def spy(prefix, *args):
+        prefixes.append(prefix)
+        return search(prefix, *args)
+
+    monkeypatch.setattr(unfolding, "_search", spy)
+    return prefixes
+
+
+def test_one_state_search(searched):
+    # enumerate_processes numbers every event, bounded_observation (and
+    # compare through it) only the visible ones, in the one search
+    assert not hasattr(unfolding, "_extension") and not hasattr(unfolding, "_extend")
+    net = cn.builtin("repeated_pure_m")
+    cn.enumerate_processes(net, 2)
+    cn.bounded_observation(net, 2)
+    cn.compare(net, cn.builtin("centralised"), 2)
+    assert [prefix.every for prefix in searched] == [True, False, False, False]
 
 
 def test_one_firing_rule():
@@ -141,6 +170,24 @@ def test_cli_import_loads_every_module_and_no_dataclasses():
     assert {m for m in loaded if m.startswith("causalnets.")} == modules
     assert loaded & {"dataclasses", "inspect"} == set()
 
+
+
+def test_no_unused_imports():
+    # no linter is part of the suite: a module (other than the package's
+    # __init__, which imports to re-export) reads every name it imports
+    unused = []
+    for path in sorted(Path(cn.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, line, name) for name, line in imported.items() if name not in read]
+    assert unused == []
 
 # --- value types: named tuples with the dataclasses' hashes and immutability --
 
@@ -246,17 +293,21 @@ def test_pomsets_sort_by_labels_then_order():
     assert not cn.Pomset((), ()) and cn.Pomset(("a",), ())
 
 
-def test_one_key_form_for_prefix_events():
-    # every prefix event is keyed (transition, consumed conditions, n); n
-    # counts the earlier occurrences under the same pair in a configuration,
-    # which only an input-less transition can have
+def test_one_key_form_for_prefix_events(searched):
+    # every prefix event of both searches is keyed (transition, past, n); n
+    # counts the earlier events under the same pair in a state, which only
+    # an input-less transition can have: an input refilled after an earlier
+    # event took it depends on that event
     assert not hasattr(unfolding._Prefix, "inputless")
-    counts = []
     for net in (input_less_net(), cn.builtin("centralised")):
-        prefix = cn.enumerate_processes(net, 3)[0].process.prefix
+        cn.enumerate_processes(net, 3)
+        cn.bounded_observation(net, 3)
+    counts = []
+    for prefix in searched:
         assert sorted(prefix.index.values()) == list(range(len(prefix.trans)))
-        for (t, chosen, n), e in prefix.index.items():
-            assert (t, chosen) == (prefix.trans[e], prefix.pre[e])
-            assert n == 0 or chosen == ()
+        for (t, past, n), e in prefix.index.items():
+            assert (t, past) == (prefix.trans[e], prefix.past[e])
+            assert n == 0 or not prefix.net._preset[t]
         counts.append(max(n for _, _, n in prefix.index))
-    assert counts[0] > 0 and counts[1] == 0
+    assert [prefix.every for prefix in searched] == [True, False, True, False]
+    assert counts[0] > 0 and counts[1] > 0 and counts[2:] == [0, 0]

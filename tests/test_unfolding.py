@@ -92,6 +92,32 @@ class TestExtendProcess:
         with pytest.raises(cn.UnknownElementError):
             cn.extend_process(fig2(), cn.initial_process(fig2()), "zz")
 
+    def test_another_net_is_refused(self):
+        # b's table reads a's marking mask as r marked: no silent answer
+        def net_a():
+            return cn.make_net(["p", "q"], ["t"], [("p", "t"), ("t", "q")], ["p"])
+
+        b = cn.make_net(["q", "r"], ["t"], [("q", "t"), ("t", "r")], ["r"])
+        pa = cn.initial_process(net_a())
+        with pytest.raises(ValueError, match="grown from another net"):
+            cn.is_maximal(b, pa)
+        with pytest.raises(ValueError, match="grown from another net"):
+            cn.extend_process(b, pa, "t")
+        # an equal net built separately is the process's own net
+        assert not cn.is_maximal(net_a(), pa)
+        assert cn.is_maximal(net_a(), cn.extend_process(net_a(), pa, "t"))
+
+    def test_end_maps_places_to_their_last_producers(self):
+        # each place marked at the end maps to the last event that put on
+        # it, or to None when its initial token is still there
+        for name in cn.BUILTIN_NAMES:
+            for entry in cn.enumerate_processes(cn.builtin(name), 3):
+                process = entry.process
+                occ, folded, made_by = occ_net(process), fold(process), producer(process)
+                expected = {folded[c]: made_by[c] for c in occ.places if not occ._postset[c]}
+                assert {place: None if e is None else f"e{e + 1}"
+                        for place, e in process.end.items()} == expected
+
 
 class TestContact:
     def contact_net(self):
