@@ -21,8 +21,9 @@ class BoundedObservation(NamedTuple):
 
     ``complete`` holds pomsets of maximal processes (at most ``bound``
     visible events); ``partial`` holds pomsets of non-maximal processes with
-    exactly ``bound`` visible events; ``divergent`` reports whether some
-    branch was cut off by the event limit instead of quiescence.
+    exactly ``bound`` visible events; ``divergent`` reports whether a cycle
+    of invisible firings is reachable within the bound, or under an event
+    limit whether the limit cut off some branch instead of quiescence.
     """
 
     complete: frozenset[Pomset]
@@ -66,7 +67,8 @@ def bounded_observation(
     net: LabelledNet, k: int, event_limit: int | None = None
 ) -> BoundedObservation:
     """Collect the complete and partial pomsets of a net at bound ``k``,
-    from a search over states that builds no process."""
+    from a search over states that builds no process: all of its finitely
+    many states, or with an ``event_limit`` those within that many events."""
     complete, partial, divergent = _observe(net, k, event_limit)
     return BoundedObservation(frozenset(complete), frozenset(partial), k, divergent)
 
@@ -77,9 +79,9 @@ def compare(
     """Compare two nets' bounded observations.
 
     The verdict is equivalent-at-bound when the complete sets, the partial
-    sets, and the divergence flags all coincide; otherwise the witness comes
-    from the first differing category (complete before partial before
-    divergence) and is the least differing pomset.
+    sets, and the divergence flags (exact with no ``event_limit``) coincide;
+    otherwise the witness comes from the first differing category (complete
+    before partial before divergence) and is the least differing pomset.
     """
     obs_a = bounded_observation(net_a, k, event_limit)
     obs_b = bounded_observation(net_b, k, event_limit)

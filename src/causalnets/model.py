@@ -72,6 +72,7 @@ class _Table:
         self.full = (1 << len(labels)) - 1
         self.offset = {p: len(self.places) + i * len(labels) for i, p in enumerate(self.places)}
         self.label_sets: dict[int, frozenset[str]] = {}  # the decoder's, per field value
+        self.names: dict[tuple, tuple] = {}  # unfolding's event names, interned
         self.moves = {}
         for t in sorted(net.transitions):
             pre, post = sorted(net._preset[t]), sorted(net._postset[t])

@@ -13,7 +13,7 @@ canonical form so that value equality coincides with isomorphism.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, defaultdict
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import LabelledNet, UnknownElementError
@@ -61,7 +61,7 @@ class _Prefix:
     def name(self, e: int) -> tuple:
         """A structural name for event ``e`` of a prefix that numbers every
         event, equal for the same event of prefixes built separately from
-        equal nets."""
+        equal nets, and one object, interned in the table, for one net."""
         name = self._names.get(e)
         if name is None:
             t = self.trans[e]
@@ -70,7 +70,7 @@ class _Prefix:
                 name = ("e", t, frozenset(self._cond_name(self.past[e], place) for place in pre))
             else:  # the n of its key (t, 0, n)
                 name = ("e0", t, next(n for n in range(e + 1) if self.index[t, 0, n] == e))
-            self._names[e] = name
+            name = self._names[e] = self.net._table.names.setdefault(name, name)
         return name
 
     def _cond_name(self, past: int, place: str) -> tuple:
@@ -81,12 +81,12 @@ class _Prefix:
         return ("c", self.name(made[-1]), place) if made else ("c0", place)
 
 
-def _fire(prefix: _Prefix, state: tuple, t: str, visible: bool) -> tuple:
+def _fire(prefix: _Prefix, state: tuple, t: str, visible: bool, step: int) -> tuple:
     """The state after ``t`` fires at ``state`` without contact.  A state is
     ``(marked, tokens, events, count)``: the marked places' table mask; per
     place in table order the mask of the numbered events its token depends
-    on; the mask of the numbered events; and the event count.  The firing is
-    numbered when it is visible or the prefix numbers every event."""
+    on; the mask of the numbered events; and the event count, here grown by
+    ``step``.  The firing is numbered when visible or every event is."""
     marked, tokens, events, count = state
     pre, post, took, put = prefix.arcs[t]
     past = 0
@@ -107,55 +107,70 @@ def _fire(prefix: _Prefix, state: tuple, t: str, visible: bool) -> tuple:
         tokens[i] = 0
     for i in post:
         tokens[i] = past
-    return marked - took | put, tuple(tokens), events | past, count + 1
+    return marked - took | put, tuple(tokens), events | past, count + step
 
 
 def _search(prefix: _Prefix, visible_bound: int, event_limit: int | None,
             process_limit: int | None = None) -> Iterator[tuple[tuple, bool, bool]]:
     """Each state reachable within the bounds once, breadth-first over sorted
     transitions, as ``(state, maximal, saturated)``: ``maximal`` when its
-    marking covers no preset, ``saturated`` when the event limit (default
-    ``10 * visible_bound + 50``) cut an extension within the visible bound.
-    A state fixes its future; when every event is numbered it is a process.
-    Raises LimitExceededError past ``process_limit`` states, and ContactError
-    at the first firing within the bound (the event limit too) that would put
+    marking covers no preset.  Under an ``event_limit`` a state counts its
+    events and is ``saturated`` when the limit cut an extension within the
+    visible bound; with none the count stays 0, so equal states merge, and
+    ``saturated`` says a cycle of invisible moves is reachable.  A state
+    fixes its future; when every event is numbered it is a process.  Raises
+    LimitExceededError past ``process_limit`` states, and ContactError at
+    the first firing within the bound (the event limit too) that would put
     a second token on a place."""
     if visible_bound < 0:
         raise ValueError("visible_bound must be nonnegative")
-    if event_limit is None:
-        event_limit = 10 * visible_bound + 50
-    if event_limit < 0:
+    if event_limit is not None and event_limit < 0:
         raise ValueError("event_limit must be nonnegative")
     if process_limit is not None and process_limit < 1:
         raise ValueError("process_limit must be at least 1")
     table = prefix.net._table
+    step = 0 if event_limit is None else 1
     covered: dict[int, list] = {}  # marked mask -> table.covered of it, for this search
-    seen = {prefix.start}
-    queue = deque([prefix.start])
-    while queue:
-        state = queue.popleft()
+    index = {prefix.start: 0}  # state -> its place in states, the BFS queue
+    states = [prefix.start]
+    cut = set()  # the saturated states
+    tau = []  # with no event limit, each invisible move as (state, successor)
+    for i, state in enumerate(states):
         marked, _, events, count = state
         moves = covered.get(marked)
         if moves is None:
             moves = covered[marked] = table.covered(marked)
         at_bound = (events & prefix.visible).bit_count() >= visible_bound
-        saturated = False
         for t, contact, visible in moves:
             if visible and at_bound:
                 continue
             if contact:
                 raise table.contact(t, contact, marked)
-            if count >= event_limit:
-                saturated = True
+            if step and count >= event_limit:
+                cut.add(i)
                 continue
-            after = _fire(prefix, state, t, visible)
-            if after in seen:
-                continue
-            if process_limit is not None and len(seen) >= process_limit:
-                raise LimitExceededError(f"process limit {process_limit} exceeded")
-            seen.add(after)
-            queue.append(after)
-        yield state, not moves, saturated
+            after = _fire(prefix, state, t, visible, step)
+            j = index.setdefault(after, len(states))
+            if j == len(states):
+                if process_limit is not None and j >= process_limit:
+                    raise LimitExceededError(f"process limit {process_limit} exceeded")
+                states.append(after)
+            if not (step or visible):
+                tau.append((i, j))
+    if any(j <= i for i, j in tau):  # a cycle needs a move back in BFS order
+        left = Counter(i for i, _ in tau)  # moves not peeled off; what keeps one reaches a cycle
+        into = defaultdict(list)
+        for i, j in tau:
+            into[j].append(i)
+        sinks = [j for j in into if j not in left]
+        for j in sinks:
+            for i in into[j]:
+                left[i] -= 1
+                if not left[i]:
+                    sinks.append(i)
+        cut.update(i for i, n in left.items() if n)
+    for i, state in enumerate(states):
+        yield state, not covered[state[0]], i in cut
 
 
 class Process:
@@ -230,7 +245,7 @@ def extend_process(net: LabelledNet, process: Process, t: str) -> Process | None
             if contact:
                 raise net._table.contact(t, contact, process.marked)
             state = (process.marked, process.tokens, process.config, process.event_count)
-            return Process(process.prefix, *_fire(process.prefix, state, t, visible))
+            return Process(process.prefix, *_fire(process.prefix, state, t, visible, 1))
     return None
 
 
@@ -272,6 +287,7 @@ def enumerate_processes(
     transitions chain through shared places can have exponentially many.
     Raises ContactError when a firing would put a second token on a place.
     """
+    event_limit = 10 * visible_bound + 50 if event_limit is None else event_limit
     prefix = _Prefix(net, True)
     return [ProcessEntry(Process(prefix, *state), maximal, saturated)
             for state, maximal, saturated in _search(prefix, visible_bound, event_limit,
@@ -464,8 +480,8 @@ def _pomset(vset: int, prefix: _Prefix, memo: dict[int, tuple],
 def _observe(net: LabelledNet, visible_bound: int, event_limit: int | None
              ) -> tuple[set[Pomset], set[Pomset], bool]:
     """The pomsets of the maximal processes and of the others with exactly
-    ``visible_bound`` visible events, and whether the event limit cut an
-    extension within the bound, as ``enumerate_processes`` shows them.
+    ``visible_bound`` visible events, and whether the net diverges within the
+    bound: a reachable invisible cycle, or under ``event_limit`` a cut.
 
     ``_search`` numbers only the visible events here, so its tokens depend
     on visible events alone.  A state fixes a process's future and visible

@@ -30,6 +30,13 @@ def loops(n, label=None):
                        {t: label for t in ts} if label else None)
 
 
+def chain(n):
+    """n invisible transitions in a line, p0 -> t0 -> p1 -> ... -> p<n>: no
+    cycle, and every run ends after n events."""
+    ps, ts = [f"p{i}" for i in range(n + 1)], [f"t{i}" for i in range(n)]
+    return cn.make_net(ps, ts, list(zip(ps, ts)) + list(zip(ts, ps[1:])), ps[:1])
+
+
 def rings(k):
     """k independent rings of three invisible transitions."""
     ps = [f"r{j}_{i}" for j in range(k) for i in range(3)]
@@ -477,6 +484,44 @@ def brute_force_processes(net: cn.LabelledNet, k: int, event_limit: int) -> list
             ),
         })
     return processes
+
+
+def brute_force_divergent(net: cn.LabelledNet, k: int) -> bool:
+    """Whether a plain marking reachable with at most ``k`` visible firings
+    lies on a cycle of invisible firings.  Transitions fire one at a time
+    with ``oracle_fire``, where ``oracle_step_enabled`` allows them."""
+    moves: dict = {}  # marking -> [(visible, marking after)], one per firing
+
+    def successors(m):
+        if m not in moves:
+            tokens = {(p, frozenset()) for p in m}
+            moves[m] = [(net.labelling[t] != TAU,
+                         frozenset(p for p, _ in oracle_fire(net, tokens, (t,))))
+                        for t in sorted(net.transitions)
+                        if oracle_step_enabled(net, tokens, (t,))]
+        return moves[m]
+
+    reached = {(frozenset(net.initial_marking), 0)}
+    stack = list(reached)
+    while stack:
+        m, fired = stack.pop()  # fired: the visible firings so far
+        for visible, after in successors(m):
+            state = (after, fired + visible)
+            if state[1] <= k and state not in reached:
+                reached.add(state)
+                stack.append(state)
+    for start in {m for m, _ in reached}:
+        found = set()
+        stack = [start]
+        while stack:
+            for visible, after in successors(stack.pop()):
+                if visible or after in found:
+                    continue
+                if after == start:
+                    return True
+                found.add(after)
+                stack.append(after)
+    return False
 
 
 def simple_cycles(graph: cn.ReachGraph):

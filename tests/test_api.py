@@ -114,27 +114,32 @@ def test_prefix_keeps_no_conditions():
 
 @pytest.fixture
 def searched(monkeypatch) -> list:
-    """The prefix of each ``unfolding._search`` run, in call order."""
-    prefixes = []
+    """The prefix and the event limit of each ``unfolding._search`` run, in
+    call order."""
+    runs = []
     search = unfolding._search
 
-    def spy(prefix, *args):
-        prefixes.append(prefix)
-        return search(prefix, *args)
+    def spy(prefix, visible_bound, event_limit, *args):
+        runs.append((prefix, event_limit))
+        return search(prefix, visible_bound, event_limit, *args)
 
     monkeypatch.setattr(unfolding, "_search", spy)
-    return prefixes
+    return runs
 
 
 def test_one_state_search(searched):
     # enumerate_processes numbers every event, bounded_observation (and
-    # compare through it) only the visible ones, in the one search
+    # compare through it) only the visible ones, in the one search; only
+    # enumerate_processes has a default event limit, and resolves it itself
     assert not hasattr(unfolding, "_extension") and not hasattr(unfolding, "_extend")
     net = cn.builtin("repeated_pure_m")
     cn.enumerate_processes(net, 2)
     cn.bounded_observation(net, 2)
     cn.compare(net, cn.builtin("centralised"), 2)
-    assert [prefix.every for prefix in searched] == [True, False, False, False]
+    cn.enumerate_processes(net, 2, 7)
+    cn.bounded_observation(net, 2, 7)
+    assert [(prefix.every, limit) for prefix, limit in searched] == [
+        (True, 70), (False, None), (False, None), (False, None), (True, 7), (False, 7)]
 
 
 def test_one_firing_rule():
@@ -303,11 +308,11 @@ def test_one_key_form_for_prefix_events(searched):
         cn.enumerate_processes(net, 3)
         cn.bounded_observation(net, 3)
     counts = []
-    for prefix in searched:
+    for prefix, _ in searched:
         assert sorted(prefix.index.values()) == list(range(len(prefix.trans)))
         for (t, past, n), e in prefix.index.items():
             assert (t, past) == (prefix.trans[e], prefix.past[e])
             assert n == 0 or not prefix.net._preset[t]
         counts.append(max(n for _, _, n in prefix.index))
-    assert [prefix.every for prefix in searched] == [True, False, True, False]
+    assert [prefix.every for prefix, _ in searched] == [True, False, True, False]
     assert counts[0] > 0 and counts[1] > 0 and counts[2:] == [0, 0]

@@ -18,7 +18,7 @@ from causalnets.model import (
 )
 from causalnets.transforms import BUILTIN_NAMES
 
-from helpers import loops, random_net, rings
+from helpers import chain, loops, random_net, rings
 
 ROOT = Path(__file__).resolve().parent.parent
 NETS = ROOT / "src" / "causalnets" / "nets"
@@ -337,10 +337,40 @@ class TestUnfoldAndPomsets:
             assert out == ""
             assert "transition t" in err and "place r" in err
 
+    # each (command, format) at k=1 on an invisible chain of 59, 60, 61 and 70
+    # transitions, beside an idle net; the event limit of 60 was the default
+    # cut at k=1, which read the chains of 61 and 70 as diverging
+    CHAINS = {
+        ("pomsets", "human", ()): (0, "complete:\nevents:\norder:\npartial:\ndivergent: no\n"),
+        ("pomsets", "tsv", ()): (0, "complete\t\t\ndivergent\tno\n"),
+        ("compare", "human", ()): (0, "EQUIVALENT (bound 1)\n"),
+        ("compare", "tsv", ()): (0, "verdict\tEQUIVALENT\t1\n"),
+        ("pomsets", "human", ("--event-limit", "60")): (
+            0, "complete:\npartial:\ndivergent: yes\n"),
+        ("pomsets", "tsv", ("--event-limit", "60")): (0, "divergent\tyes\n"),
+        ("compare", "human", ("--event-limit", "60")): (
+            1, "INEQUIVALENT (bound 1)\nwitness (right, complete):\nevents:\norder:\n"),
+        ("compare", "tsv", ("--event-limit", "60")): (
+            1, "verdict\tINEQUIVALENT\t1\nwitness\tright\tcomplete\t\t\n"),
+    }
+
+    def test_invisible_chains_end_bytes_pinned(self, capsys, tmp_path):
+        idle = tmp_path / "idle.net"
+        idle.write_text("place p0 *\n", encoding="utf-8")
+        for n in (59, 60, 61, 70):
+            path = tmp_path / f"chain{n}.net"
+            path.write_text(serialize_net(chain(n)), encoding="utf-8")
+            for (command, fmt, limit), (code, out) in self.CHAINS.items():
+                if limit and n <= 60:  # the cut at 60 events keeps the whole chain
+                    code, out = self.CHAINS[command, fmt, ()]
+                files = [str(path), str(idle)] if command == "compare" else [str(path)]
+                argv = [command, *files, "-k", "1", "--format", fmt, *limit]
+                assert run(capsys, *argv) == (code, out, ""), (n, argv)
+
     def test_pomsets_on_two_invisible_self_loops(self, tmp_path):
-        # 2^(L+1) - 1 processes at event limit L, but only L + 1 states: at
-        # the default limit pomsets ends under a memory cap, in a subprocess
-        # so that a regression fails here instead of exhausting memory
+        # 2^(L+1) - 1 processes at event limit L, but only one state: pomsets
+        # ends at the default under a memory cap, in a subprocess so that a
+        # regression fails here instead of exhausting memory
         path = tmp_path / "two_loops.net"
         path.write_text("place p *\ntrans t0\ntrans t1\n"
                         "arc p -> t0\narc t0 -> p\narc p -> t1\narc t1 -> p\n")
@@ -646,11 +676,11 @@ class TestPinnedBytes:
         "pure-m --help":
             "ea74575cd94379d46bf37ef18434ba458a0201fa3eecd37edc09b9afd8a02767",
         "unfold --help":
-            "69a3e230ca5550c84ac25b74d3ae12207b7c131d37ba2638dddc013f5b1252ee",
+            "35e4a3e14637b3795d526402698cdd56102d48b7e87255f467742bdc7c2a3cfd",
         "pomsets --help":
-            "a362376d3efb7917fe4291bc21c984ae566955654ab06d1d1e40a2ff3f1d5377",
+            "819cf5dd9cbe434783cd32a4b08d33dd3e6565d15a7aa8873e39c8e3aa880c76",
         "compare --help":
-            "540f8ee6aeeb73a4d76d957582d57c22c6d812547bb29aba4f8da742eb665dcb",
+            "3d65c4bce0675d51b02d15aaed53c6853f6918e019bc3a8dee518850f63077b7",
         "deadlock --help":
             "9dba27c2017644d64f3691a142c107dda488816d0df05a92833524a3c91d7b47",
         "refine --help":

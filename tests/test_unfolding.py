@@ -11,9 +11,11 @@ import causalnets as cn
 
 from helpers import (
     NamedOrder,
+    brute_force_divergent,
     brute_force_iso,
     brute_force_processes,
     canonical,
+    chain,
     conditions,
     discrete_colouring,
     event_trans,
@@ -207,6 +209,16 @@ class TestEnumerateProcesses:
         assert len(entries) == 9
         keys = [e.process.key for e in entries]
         assert len(set(keys)) == len(keys)
+
+    def test_keys_of_separate_calls_share_their_names(self):
+        # an event taking two conditions from one producer doubles the paths
+        # through its name; interned per net, equal names are one object, so
+        # keys from separate calls compare without walking those paths.
+        # Compared by id: == on 50-event names built apart walks 2^50 paths
+        net = random_net(random.Random(7), max_places=5, max_transitions=5, tau_prob=0.5)
+        first, second = (cn.enumerate_processes(net, 0)[-1].process.key for _ in range(2))
+        assert len(first) == 50
+        assert {id(name) for name in first} == {id(name) for name in second}
 
     def test_bound_zero(self):
         entries = cn.enumerate_processes(fig2(), 0)
@@ -431,6 +443,48 @@ class TestAgainstBruteForce:
                 self.check(net, k, 6)
                 checked += 1
         assert checked == 74
+
+
+class TestExactObservation:
+    """``bounded_observation`` with no event limit cuts no run.  Its flag
+    is checked against ``brute_force_divergent``, and its sets against
+    ``brute_force_processes`` at an event limit past the longest process.
+    A net that diverges has no longest process; there the limit doubles
+    from ``k + 1`` until doubling it adds no pomset."""
+
+    @staticmethod
+    def check(net, k):
+        def oracle(limit):
+            return _oracle_observation(brute_force_processes(net, k, limit), k)
+
+        divergent = brute_force_divergent(net, k)
+        if divergent:
+            limit = k + 1
+            while (want := oracle(limit)) != oracle(2 * limit):
+                limit *= 2
+        else:
+            limit = 1
+            while (want := oracle(limit)).divergent:
+                limit *= 2
+                assert limit < 1000, "the brute-force processes never end"
+        assert (want.divergent, cn.bounded_observation(net, k)) == (divergent, want)
+        return divergent
+
+    def test_bundled_rings_loops_and_a_draw(self):
+        draw = random_net(random.Random(7), max_places=5, max_transitions=5, tau_prob=0.5)
+        nets = [cn.builtin(name) for name in cn.BUILTIN_NAMES] + [rings(3), loops(8), draw]
+        verdicts = [[self.check(net, k) for k in range(4)] for net in nets]
+        assert verdicts == [[False] * 4] * 4 + [[True] * 4] * 3
+
+    def test_acceptance_corpus(self):
+        verdicts = Counter(self.check(net, k) for net in _corpus() for k in range(4))
+        assert verdicts == Counter({False: 372, True: 28})
+
+    def test_chains_past_the_old_default_cut(self):
+        # the old default cut, 10k + 50 events, fell inside each chain at
+        # k=0 and inside the chains of 61 and 70 at k=1
+        for n in (59, 60, 61, 70):
+            assert not any(self.check(chain(n), k) for k in (0, 1))
 
 
 class TestVisiblePomset:
