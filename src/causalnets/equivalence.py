@@ -69,8 +69,8 @@ def bounded_observation(
     """Collect the complete and partial pomsets of a net at bound ``k``,
     from a search over states that builds no process: all of its finitely
     many states, or with an ``event_limit`` those within that many events."""
-    complete, partial, divergent = _observe(net, k, event_limit)
-    return BoundedObservation(frozenset(complete), frozenset(partial), k, divergent)
+    pomsets, divergent = _observe(net, k, event_limit)
+    return BoundedObservation(pomsets(True), pomsets(False), k, divergent)
 
 
 def compare(
@@ -82,19 +82,19 @@ def compare(
     sets, and the divergence flags (exact with no ``event_limit``) coincide;
     otherwise the witness comes from the first differing category (complete
     before partial before divergence) and is the least differing pomset.
+    Both searches run first, ``net_a``'s first; the partial pomsets are
+    built only when the complete sets agree.
     """
-    obs_a = bounded_observation(net_a, k, event_limit)
-    obs_b = bounded_observation(net_b, k, event_limit)
-    for kind, left, right in (
-        ("complete", obs_a.complete, obs_b.complete),
-        ("partial", obs_a.partial, obs_b.partial),
-    ):
+    pomsets_a, divergent_a = _observe(net_a, k, event_limit)
+    pomsets_b, divergent_b = _observe(net_b, k, event_limit)
+    for kind, maximal in (("complete", True), ("partial", False)):
+        left, right = pomsets_a(maximal), pomsets_b(maximal)
         if left != right:
             pomset = min(left ^ right)
             side = "left" if pomset in left else "right"
             return EquivalenceVerdict(False, k, Witness(pomset, side, kind))
-    if obs_a.divergent != obs_b.divergent:
-        side = "left" if obs_a.divergent else "right"
+    if divergent_a != divergent_b:
+        side = "left" if divergent_a else "right"
         return EquivalenceVerdict(False, k, Witness(Pomset((), ()), side, "divergence"))
     return EquivalenceVerdict(True, k)
 

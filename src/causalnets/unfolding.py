@@ -14,7 +14,7 @@ canonical form so that value equality coincides with isomorphism.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .model import LabelledNet, UnknownElementError
 from .semantics import LimitExceededError
@@ -448,10 +448,10 @@ def _pomset(vset: int, prefix: _Prefix, memo: dict[int, tuple],
     longest-chain depth, label, in-degree and predecessors, which no visible
     set changes.
 
-    A discrete initial colouring (depth, label, in-degree, out-degree) is a
-    fixed point of refinement, so its encoding is the canonical form;
-    otherwise the index form (labels in ascending event order, pairs of
-    indices) is canonicalised, once per form in ``forms``."""
+    Sorted by colour (depth, label, in-degree, out-degree), ties in event
+    order, the events give one form: labels and sorted position pairs.  A
+    discrete colouring is a fixed point of refinement, so that form is
+    canonical; otherwise it is canonicalised once per form in ``forms``."""
     events = list(_bits(vset))
     for e in events:  # ascending, so the events before e are in the memo first
         if e not in memo:
@@ -459,17 +459,14 @@ def _pomset(vset: int, prefix: _Prefix, memo: dict[int, tuple],
             depth = max([memo[u][0] + 1 for u in below], default=0)
             memo[e] = (depth, prefix.net.labelling[prefix.trans[e]], len(below), below)
     pairs = [(u, e) for e in events for u in memo[e][3]]
-    outdeg = dict.fromkeys(events, 0)
-    for u, _ in pairs:
-        outdeg[u] += 1
+    outdeg = Counter(u for u, _ in pairs)
     colours = {e: (*memo[e][:3], outdeg[e]) for e in events}
+    ranked = sorted(events, key=colours.__getitem__)
+    position = dict(zip(ranked, range(len(ranked))))
+    form = Pomset(labels=tuple([colours[e][1] for e in ranked]),
+                  order=tuple(sorted([(position[u], position[v]) for u, v in pairs])))
     if len(set(colours.values())) == len(colours):
-        ranked = sorted(events, key=colours.__getitem__)
-        position = dict(zip(ranked, range(len(ranked))))
-        return Pomset(labels=tuple([colours[e][1] for e in ranked]),
-                      order=tuple(sorted([(position[u], position[v]) for u, v in pairs])))
-    index = dict(zip(events, range(len(events))))
-    form = (tuple([memo[e][1] for e in events]), tuple((index[u], index[v]) for u, v in pairs))
+        return form
     pomset = forms.get(form)
     if pomset is None:
         # through the module global, so a wrapper installed on it sees each call
@@ -478,24 +475,27 @@ def _pomset(vset: int, prefix: _Prefix, memo: dict[int, tuple],
 
 
 def _observe(net: LabelledNet, visible_bound: int, event_limit: int | None
-             ) -> tuple[set[Pomset], set[Pomset], bool]:
-    """The pomsets of the maximal processes and of the others with exactly
-    ``visible_bound`` visible events, and whether the net diverges within the
-    bound: a reachable invisible cycle, or under ``event_limit`` a cut.
+             ) -> tuple[Callable[[bool], frozenset[Pomset]], bool]:
+    """A function building on demand the pomsets of the maximal processes
+    (``True``) or of the others with exactly ``visible_bound`` visible events
+    (``False``), and whether the net diverges within the bound: a reachable
+    invisible cycle, or under ``event_limit`` a cut.
 
     ``_search`` numbers only the visible events here, so its tokens depend
     on visible events alone.  A state fixes a process's future and visible
-    pomset, so the processes with equal states are extended once."""
+    pomset, so the processes with equal states are extended once.  The
+    search runs before this returns; each category keeps its visible sets."""
     prefix = _Prefix(net, False)
-    shown: set[tuple[int, bool]] = set()  # (visible set, shown by a maximal state)
+    shown: tuple[set[int], set[int]] = (set(), set())  # visible sets: partial, complete
     divergent = False
     for (_, _, vset, _), maximal, saturated in _search(prefix, visible_bound, event_limit):
         divergent |= saturated
         if maximal or vset.bit_count() == visible_bound:
-            shown.add((vset, maximal))
+            shown[maximal].add(vset)
     memo: dict[int, tuple] = {}
     forms: dict[tuple, Pomset] = {}
-    observed: tuple[set[Pomset], set[Pomset]] = (set(), set())  # partial, complete
-    for vset, maximal in shown:
-        observed[maximal].add(_pomset(vset, prefix, memo, forms))
-    return observed[True], observed[False], divergent
+
+    def pomsets(maximal: bool) -> frozenset[Pomset]:
+        return frozenset([_pomset(vset, prefix, memo, forms) for vset in shown[maximal]])
+
+    return pomsets, divergent

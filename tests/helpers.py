@@ -37,6 +37,16 @@ def chain(n):
     return cn.make_net(ps, ts, list(zip(ps, ts)) + list(zip(ts, ps[1:])), ps[:1])
 
 
+def chains(m):
+    """m disjoint lines of two transitions, all labelled ``a``: the pomsets
+    are up to m two-event chains, so many events share a colour."""
+    ps = [f"{x}{i}" for i in range(m) for x in "pqr"]
+    ts = [f"{x}{i}" for i in range(m) for x in "xy"]
+    arcs = [arc for i in range(m) for arc in (
+        (f"p{i}", f"x{i}"), (f"x{i}", f"q{i}"), (f"q{i}", f"y{i}"), (f"y{i}", f"r{i}"))]
+    return cn.make_net(ps, ts, arcs, [f"p{i}" for i in range(m)], dict.fromkeys(ts, "a"))
+
+
 def rings(k):
     """k independent rings of three invisible transitions."""
     ps = [f"r{j}_{i}" for j in range(k) for i in range(3)]
@@ -793,6 +803,24 @@ def process_observation(net: cn.LabelledNet, k: int, event_limit: int | None = N
         (complete if entry.maximal else partial).add(pomset)
     divergent = any(e.saturated for e in entries)
     return cn.BoundedObservation(frozenset(complete), frozenset(partial), k, divergent)
+
+
+def eager_compare(obs_a: cn.BoundedObservation,
+                  obs_b: cn.BoundedObservation) -> cn.EquivalenceVerdict:
+    """``compare``'s documented rule on two whole observations at one bound:
+    the first differing category, complete before partial before divergence,
+    and in it the least pomset on one side only."""
+    for kind in ("complete", "partial"):
+        left, right = getattr(obs_a, kind), getattr(obs_b, kind)
+        if left != right:
+            pomset = min(left ^ right)
+            side = "left" if pomset in left else "right"
+            return cn.EquivalenceVerdict(False, obs_a.bound, cn.Witness(pomset, side, kind))
+    if obs_a.divergent != obs_b.divergent:
+        side = "left" if obs_a.divergent else "right"
+        return cn.EquivalenceVerdict(False, obs_a.bound,
+                                     cn.Witness(cn.Pomset((), ()), side, "divergence"))
+    return cn.EquivalenceVerdict(True, obs_a.bound)
 
 
 # --- misc ----------------------------------------------------------------------

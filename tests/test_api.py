@@ -127,19 +127,24 @@ def searched(monkeypatch) -> list:
     return runs
 
 
-def test_one_state_search(searched):
-    # enumerate_processes numbers every event, bounded_observation (and
-    # compare through it) only the visible ones, in the one search; only
+def test_one_state_search(searched, monkeypatch):
+    # enumerate_processes numbers every event, bounded_observation and
+    # compare only the visible ones, in the one search; compare runs it for
+    # each net itself, not through bounded_observation; only
     # enumerate_processes has a default event limit, and resolves it itself
     assert not hasattr(unfolding, "_extension") and not hasattr(unfolding, "_extend")
-    net = cn.builtin("repeated_pure_m")
+    net, other = cn.builtin("repeated_pure_m"), cn.builtin("centralised")
     cn.enumerate_processes(net, 2)
     cn.bounded_observation(net, 2)
-    cn.compare(net, cn.builtin("centralised"), 2)
     cn.enumerate_processes(net, 2, 7)
     cn.bounded_observation(net, 2, 7)
+    monkeypatch.setattr(equivalence, "bounded_observation", None)
+    cn.compare(net, other, 2)
+    cn.compare(net, other, 2, 7)
     assert [(prefix.every, limit) for prefix, limit in searched] == [
-        (True, 70), (False, None), (False, None), (False, None), (True, 7), (False, 7)]
+        (True, 70), (False, None), (True, 7), (False, 7),
+        (False, None), (False, None), (False, 7), (False, 7)]
+    assert [prefix.net for prefix, _ in searched[4:]] == [net, other] * 2
 
 
 def test_one_firing_rule():

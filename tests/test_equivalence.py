@@ -11,13 +11,16 @@ from causalnets.equivalence import _live_labels
 
 from helpers import (
     ac_ordered_pairs,
+    eager_compare,
     plain_enabled,
     plain_fire,
     pomset,
     process_observation,
     random_net,
     random_tractable_nets,
+    rings,
 )
+from test_acceptance import CORPUS_EVENT_LIMIT, _corpus
 
 
 def fig(name):
@@ -199,6 +202,109 @@ class TestCompare:
                 assert base.complete == after.complete
                 assert base.partial == after.partial
                 assert base.divergent == after.divergent
+
+
+class TestCompareOnDemand:
+    """``compare`` builds a category's pomsets only when the categories
+    before it agree; the verdict stays the rule applied to whole
+    observations."""
+
+    @staticmethod
+    def agree(pairs, bounds, event_limit=None) -> Counter:
+        """The verdicts of the pairs of nets at every bound, counted by witness
+        kind (``None`` when equivalent), each checked against
+        ``eager_compare``."""
+        observed = {}
+
+        def observation(net, k):
+            key = (id(net), k)
+            if key not in observed:
+                observed[key] = cn.bounded_observation(net, k, event_limit)
+            return observed[key]
+
+        kinds = Counter()
+        for net_a, net_b in pairs:
+            for k in bounds:
+                verdict = cn.compare(net_a, net_b, k, event_limit)
+                assert verdict == eager_compare(observation(net_a, k), observation(net_b, k)), (
+                    cn.serialize_net(net_a), cn.serialize_net(net_b), k, event_limit)
+                kinds[verdict.witness and verdict.witness.kind] += 1
+        return kinds
+
+    def test_bundled_pairs(self):
+        nets = [fig(name) for name in cn.BUILTIN_NAMES]
+        assert self.agree([(a, b) for a in nets for b in nets], range(7)) == {
+            None: 62, "complete": 42, "partial": 8}
+
+    def test_corpus_against_refinements(self):
+        corpus = _corpus()
+        pairs = [(net, cn.refine_transition(net, t)[0])
+                 for net in corpus for t in sorted(net.transitions)]
+        assert len(pairs) == 237
+        for event_limit in (None, CORPUS_EVENT_LIMIT):
+            assert self.agree(pairs, range(4), event_limit) == {None: 4 * 237}
+
+    def test_rings_at_event_limits(self):
+        ring, others = rings(3), [cn.make_net(), fig("pure_m")]
+        pairs = [(ring, ring)] + [(ring, net) for net in others] + [(net, ring) for net in others]
+        for limit in (20, 25, 30):
+            assert self.agree(pairs, range(3), limit) == {None: 3, "complete": 10, "divergence": 2}
+
+    @pytest.fixture
+    def built(self, monkeypatch) -> list:
+        """The visible set of each ``unfolding._pomset`` call, in call order."""
+        calls = []
+        pomset = cn.unfolding._pomset
+
+        def spy(vset, *args):
+            calls.append(vset)
+            return pomset(vset, *args)
+
+        monkeypatch.setattr(cn.unfolding, "_pomset", spy)
+        return calls
+
+    def test_partial_pomsets_only_when_the_complete_sets_agree(self, built):
+        # the witness is complete at k=4, so only the complete sets are built
+        a, b = fig("repeated_pure_m"), fig("centralised")
+        assert cn.compare(a, b, 4).witness.kind == "complete"
+        assert len(built) == 22
+        built.clear()
+        cn.bounded_observation(a, 4)
+        cn.bounded_observation(b, 4)
+        assert len(built) == 55
+        # an equivalent pair builds both categories of both sides
+        refined, _ = cn.refine_transition(a, "b")
+        built.clear()
+        obs = cn.bounded_observation(a, 4)
+        alone = len(built)
+        assert obs.complete and obs.partial
+        built.clear()
+        assert cn.compare(a, refined, 4).equivalent
+        assert len(built) == 2 * alone
+
+    @staticmethod
+    def contact_nets():
+        # u puts a second token on the marked r after t; the input-less v
+        # puts one on the marked s at once
+        contact_a = cn.make_net(
+            places=["p", "q", "r"], transitions=["t", "u"],
+            flow=[("p", "t"), ("t", "q"), ("q", "u"), ("u", "r")],
+            initial_marking=["p", "r"], labelling={"t": "a", "u": "b"},
+        )
+        contact_b = cn.make_net(["s", "x"], ["v", "w"], [("x", "w"), ("w", "s"), ("v", "s")],
+                                ["s", "x"], {"w": "c"})
+        return contact_a, contact_b
+
+    def test_first_contact_error_is_net_a_s(self):
+        contact_a, contact_b = self.contact_nets()
+        ok = fig("centralised")
+        raised = []
+        for net_a, net_b in ((contact_a, ok), (ok, contact_a), (contact_a, contact_b),
+                             (contact_b, contact_a)):
+            with pytest.raises(cn.ContactError) as refusal:
+                cn.compare(net_a, net_b, 2)
+            raised.append((refusal.value.transition, refusal.value.place, refusal.value.marking))
+        assert raised == [("u", "r", {"q", "r"})] * 3 + [("v", "s", {"s", "x"})]
 
 
 class TestLocalDeadlock:

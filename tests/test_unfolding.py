@@ -16,6 +16,7 @@ from helpers import (
     brute_force_processes,
     canonical,
     chain,
+    chains,
     conditions,
     discrete_colouring,
     event_trans,
@@ -514,7 +515,7 @@ class TestVisiblePomset:
 
 
     def test_pomsets_match_one_at_a_time(self):
-        # four self-loops labelled a: many visible sets, few index forms
+        # four self-loops labelled a: many visible sets, few colour-ordered forms
         loops = cn.make_net(
             places=[f"p{i}" for i in range(4)], transitions=[f"t{i}" for i in range(4)],
             flow=[(f"p{i}", f"t{i}") for i in range(4)] + [(f"t{i}", f"p{i}") for i in range(4)],
@@ -526,10 +527,12 @@ class TestVisiblePomset:
             assert cn.visible_pomsets(processes) == [cn.visible_pomset(p) for p in processes]
 
     def test_matches_canonicalize_on_every_shown_set(self):
-        # the per-event path against canonicalize of the index form built
-        # from vpast, on both of its exits
+        # _pomset against canonicalize of the index form built from
+        # prefix.past, on both of its exits; m two-event a-chains give the
+        # non-discrete exit forms with many equal colours
         cases = [(cn.builtin(name), k, None) for name in cn.BUILTIN_NAMES for k in range(7)]
         cases += [(loops(n, "a"), 7, None) for n in (4, 5, 6)]
+        cases += [(chains(m), 2 * m, None) for m in range(2, 6)]
         cases += [(rings(3), 0, limit) for limit in (20, 25, 30)]
         corpus = _corpus()
         corpus += [cn.refine_transition(net, t)[0] for net in corpus for t in sorted(net.transitions)]
@@ -547,6 +550,22 @@ class TestVisiblePomset:
                 assert p == cn.canonicalize(labels, pairs)
                 exits[discrete_colouring(labels, pairs)] += 1
         assert exits[True] >= 3700 and exits[False] >= 1700, exits
+
+    def test_one_canonicalize_call_per_distinct_pomset(self, monkeypatch):
+        # isomorphic visible sets whose colours sort alike share one form,
+        # counted through the module global as a tracer sees it
+        results = []
+        canonicalize = cn.unfolding.canonicalize
+
+        def spy(*args):
+            results.append(canonicalize(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cn.unfolding, "canonicalize", spy)
+        for n, calls in ((4, 6), (5, 8), (6, 9)):
+            results.clear()
+            cn.bounded_observation(loops(n, "a"), 7)
+            assert len(results) == len(set(results)) == calls
 
 
 class TestCanonicalize:
