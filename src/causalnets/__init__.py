@@ -1,130 +1,12 @@
 """Causal semantics, unfolding, and distributability analysis for finite
 1-safe labelled Petri nets."""
 
-from .model import (
-    TAU,
-    ContactError,
-    ContactVerdict,
-    DepToken,
-    DependencyMarking,
-    LabelledNet,
-    NetError,
-    NetParseError,
-    UnknownElementError,
-    check_contact_free,
-    initial_dependency_marking,
-    make_net,
-    parse_net,
-    postset,
-    preset,
-    serialize_net,
-)
-from .semantics import (
-    CycleViolation,
-    LimitExceededError,
-    NotEnabledError,
-    ReachEdge,
-    ReachGraph,
-    check_cycle_dependency,
-    explore_reachable,
-    fire_step,
-    labelled_step,
-    state_bound,
-    step_enabled,
-    weak_step,
-)
-from .distributability import (
-    ConcurrencyRelation,
-    DistributabilityVerdict,
-    Distribution,
-    PureMWitness,
-    check_distributed,
-    concurrency_relation,
-    find_pure_m,
-)
-from .unfolding import (
-    Pomset,
-    Process,
-    ProcessEntry,
-    canonicalize,
-    enumerate_processes,
-    extend_process,
-    initial_process,
-    is_maximal,
-    visible_pomset,
-    visible_pomsets,
-)
-from .equivalence import (
-    BoundedObservation,
-    EquivalenceVerdict,
-    LocalDeadlockWitness,
-    Witness,
-    bounded_observation,
-    compare,
-    find_local_deadlock,
-)
-from .transforms import (
-    BUILTIN_NAMES,
-    RefinementRecord,
-    builtin,
-    refine_transition,
-)
+from .model import *
+from .semantics import *
+from .distributability import *
+from .unfolding import *
+from .equivalence import *
+from .transforms import *
 
-__all__ = [
-    "TAU",
-    "BUILTIN_NAMES",
-    "BoundedObservation",
-    "ConcurrencyRelation",
-    "ContactError",
-    "ContactVerdict",
-    "CycleViolation",
-    "DepToken",
-    "DependencyMarking",
-    "DistributabilityVerdict",
-    "Distribution",
-    "EquivalenceVerdict",
-    "LabelledNet",
-    "LimitExceededError",
-    "LocalDeadlockWitness",
-    "NetError",
-    "NetParseError",
-    "NotEnabledError",
-    "Pomset",
-    "Process",
-    "ProcessEntry",
-    "PureMWitness",
-    "ReachEdge",
-    "ReachGraph",
-    "RefinementRecord",
-    "UnknownElementError",
-    "Witness",
-    "bounded_observation",
-    "builtin",
-    "canonicalize",
-    "check_contact_free",
-    "check_cycle_dependency",
-    "check_distributed",
-    "compare",
-    "concurrency_relation",
-    "enumerate_processes",
-    "explore_reachable",
-    "extend_process",
-    "find_local_deadlock",
-    "find_pure_m",
-    "fire_step",
-    "initial_dependency_marking",
-    "initial_process",
-    "is_maximal",
-    "labelled_step",
-    "make_net",
-    "parse_net",
-    "postset",
-    "preset",
-    "refine_transition",
-    "serialize_net",
-    "state_bound",
-    "step_enabled",
-    "visible_pomset",
-    "visible_pomsets",
-    "weak_step",
-]
+__all__ = (model.__all__ + semantics.__all__ + distributability.__all__ + unfolding.__all__
+           + equivalence.__all__ + transforms.__all__)

@@ -206,8 +206,9 @@ _BOUND = _arg("-k", "--bound", type=int, default=4,
               help="most visible events per process (default: %(default)s)")
 _EVENT_LIMIT = _arg("--event-limit", type=int, default=None,
                     help="most events per process, invisible ones too; a process cut "
-                         "there is saturated and counts as divergent (default: 10*k + 50 "
-                         "for unfold; none, exact, for pomsets and compare)")
+                         "there is saturated and counts as divergent (default: none, exact; "
+                         "unfold cuts at 10*k + 50 only a net with a reachable invisible "
+                         "cycle)")
 _OUTPUT = _arg("-o", "--output", default=None,
                help="write the net to this file (default: standard output)")
 

@@ -17,6 +17,11 @@ from typing import Mapping, NamedTuple
 from .model import DEFAULT_STATE_LIMIT, LabelledNet
 from .semantics import ReachGraph, _bfs_tree, _path, explore_reachable
 
+__all__ = (
+    "ConcurrencyRelation", "DistributabilityVerdict", "Distribution", "PureMWitness",
+    "check_distributed", "concurrency_relation", "find_pure_m",
+)
+
 
 class ConcurrencyRelation(NamedTuple):
     """Unordered pairs of distinct transitions firable as one step from some

@@ -15,6 +15,11 @@ from .model import DEFAULT_STATE_LIMIT, TAU, LabelledNet
 from .semantics import explore_reachable
 from .unfolding import Pomset, _observe
 
+__all__ = (
+    "BoundedObservation", "EquivalenceVerdict", "LocalDeadlockWitness", "Witness",
+    "bounded_observation", "compare", "find_local_deadlock",
+)
+
 
 class BoundedObservation(NamedTuple):
     """What a net shows at visible-event bound ``bound``.

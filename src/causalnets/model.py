@@ -16,6 +16,13 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+__all__ = (
+    "TAU", "ContactError", "ContactVerdict", "DepToken", "DependencyMarking", "LabelledNet",
+    "NetError", "NetParseError", "UnknownElementError", "check_contact_free",
+    "initial_dependency_marking", "make_net", "parse_net", "postset", "preset",
+    "serialize_net",
+)
+
 TAU = "tau"
 
 DEFAULT_STATE_LIMIT = 10**6

@@ -23,6 +23,12 @@ from .model import (
     UnknownElementError,
 )
 
+__all__ = (
+    "CycleViolation", "LimitExceededError", "NotEnabledError", "ReachEdge", "ReachGraph",
+    "check_cycle_dependency", "explore_reachable", "fire_step", "labelled_step", "state_bound",
+    "step_enabled", "weak_step",
+)
+
 T = TypeVar("T")
 
 

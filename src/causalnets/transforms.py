@@ -7,6 +7,8 @@ from typing import NamedTuple
 
 from .model import TAU, LabelledNet, UnknownElementError, parse_net
 
+__all__ = ("BUILTIN_NAMES", "RefinementRecord", "builtin", "refine_transition")
+
 BUILTIN_NAMES = ("pure_m", "repeated_pure_m", "centralised", "deadlocking")
 
 

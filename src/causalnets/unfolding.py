@@ -19,6 +19,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .model import LabelledNet, UnknownElementError
 from .semantics import LimitExceededError
 
+__all__ = (
+    "Pomset", "Process", "ProcessEntry", "canonicalize", "enumerate_processes",
+    "extend_process", "initial_process", "is_maximal", "visible_pomset", "visible_pomsets",
+)
+
 
 def _bits(mask: int) -> Iterator[int]:
     """The positions of the set bits of ``mask``, in ascending order."""
@@ -175,15 +180,15 @@ def _search(prefix: _Prefix, visible_bound: int, event_limit: int | None,
 
 class Process:
     """A configuration of a prefix that numbers every event: a ``_search``
-    state.  ``config`` has bit ``e`` set for each prefix event ``e`` in it;
-    ``marked`` masks the places marked at its end, and ``tokens`` holds per
-    place in table order the causal past of its token, whose highest bit is
-    its producer (0 when initial or empty).  ``end`` maps each marked place
-    to that producer, None for an initial token.  Instances are immutable;
-    extension produces a new process sharing the prefix.  ``key`` is a
-    structural fingerprint: two processes of the same net, built by separate
-    calls or not, are isomorphic as folded occurrence nets exactly when
-    their keys are equal.
+    state.  ``config`` has bit ``e`` set for each prefix event ``e`` in it,
+    ``event_count`` of them; ``marked`` masks the places marked at its end,
+    and ``tokens`` holds per place in table order the causal past of its
+    token, whose highest bit is its producer (0 when initial or empty).
+    ``end`` maps each marked place to that producer, None for an initial
+    token.  Instances are immutable; extension produces a new process
+    sharing the prefix.  ``key`` is a structural fingerprint: two processes
+    of the same net, built by separate calls or not, are isomorphic as
+    folded occurrence nets exactly when their keys are equal.
     """
 
     __slots__ = ("prefix", "marked", "tokens", "config", "event_count", "_key")
@@ -277,21 +282,41 @@ def enumerate_processes(
     The processes are configurations of one prefix, found by ``_search``
     with every event numbered: breadth-first over sorted transitions and
     deduplicated by their event sets, so distinct interleavings of
-    independent firings appear once.  Invisible events are capped only by
-    ``event_limit`` (default ``10 * visible_bound + 50``); a process whose
-    permitted extensions were cut off by that cap is flagged ``saturated``,
-    which signals a potential divergence.
+    independent firings appear once.  A process whose permitted extensions
+    were cut off by ``event_limit`` is flagged ``saturated``.
 
-    ``process_limit``, when given, aborts with LimitExceededError once the
-    closure grows past that many distinct processes; nets whose invisible
-    transitions chain through shared places can have exponentially many.
-    Raises ContactError when a firing would put a second token on a place.
+    With no ``event_limit`` the list is exact unless a cycle of invisible
+    firings is reachable within the bound: then it holds the processes of
+    at most ``10 * visible_bound + 50`` events, and those cut there are
+    saturated.  Only when that cut saturates some process does ``_observe``
+    look for such a cycle; with none, every process is finite and the
+    search runs again without a cut.
+
+    ``process_limit``, when given, aborts either search with
+    LimitExceededError once it grows past that many distinct processes;
+    nets whose invisible transitions chain through shared places can have
+    exponentially many.  Raises ContactError when a firing within the bound
+    would put a second token on a place: under an ``event_limit`` only
+    within it, and with none past the first cut too once that cut
+    saturates a process.
     """
-    event_limit = 10 * visible_bound + 50 if event_limit is None else event_limit
+    if event_limit is None:
+        entries = _processes(net, visible_bound, 10 * visible_bound + 50, process_limit)
+        if not any(e.saturated for e in entries) or _observe(net, visible_bound, None)[1]:
+            return entries
+    return _processes(net, visible_bound, event_limit, process_limit)
+
+
+def _processes(net: LabelledNet, visible_bound: int, event_limit: int | None,
+               process_limit: int | None) -> list[ProcessEntry]:
+    """The entries of one ``_search`` that numbers every event; each event
+    sets one bit of a process's ``config``, so that counts its events also
+    when no event limit makes the search count them."""
     prefix = _Prefix(net, True)
-    return [ProcessEntry(Process(prefix, *state), maximal, saturated)
-            for state, maximal, saturated in _search(prefix, visible_bound, event_limit,
-                                                     process_limit)]
+    return [ProcessEntry(Process(prefix, marked, tokens, config, config.bit_count()),
+                         maximal, saturated)
+            for (marked, tokens, config, _), maximal, saturated
+            in _search(prefix, visible_bound, event_limit, process_limit)]
 
 
 # --- labelled partial orders and pomsets -------------------------------------

@@ -6,13 +6,18 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 import causalnets as cn
-from causalnets import distributability, equivalence, model, semantics, unfolding
+from causalnets import distributability, equivalence, model, semantics, transforms, unfolding
 
+from helpers import chain, rings
 from test_unfolding import input_less_net
+
+# The modules whose public names the package re-exports, in its order.
+EXPORTING = (model, semantics, distributability, unfolding, equivalence, transforms)
 
 # Names the tests keep in helpers.py; no program, demo or benchmark uses them.
 TEST_ONLY = (
@@ -25,6 +30,28 @@ def test_every_public_name_resolves_once():
     namespace: dict = {}
     exec("from causalnets import *", namespace)  # raises on a name that does not resolve
     assert set(cn.__all__) <= namespace.keys()
+
+
+def test_each_module_states_its_public_names_once():
+    # a module's __all__ names what it defines itself, never an import; the
+    # package's __all__ joins the six disjoint lists, and it only star-imports
+    for m in EXPORTING:
+        body = ast.parse(Path(m.__file__).read_text(encoding="utf-8")).body
+        defined = {node.name for node in body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        defined |= {target.id for node in body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        imported = {alias.asname or alias.name for node in body
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert [name for name in m.__all__ if name not in defined - imported] == [], m.__name__
+    names = [name for m in EXPORTING for name in m.__all__]
+    assert len(set(names)) == len(names) == 56
+    assert list(cn.__all__) == names
+    public = {name for name, value in vars(cn).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert sorted(public - set(cn.__all__)) == []
+    init = ast.parse(Path(cn.__file__).read_text(encoding="utf-8")).body
+    assert [alias.name for node in init if isinstance(node, ast.ImportFrom)
+            for alias in node.names] == ["*"] * len(EXPORTING)
 
 
 def test_test_only_names_left_the_library():
@@ -145,6 +172,16 @@ def test_one_state_search(searched, monkeypatch):
         (True, 70), (False, None), (True, 7), (False, 7),
         (False, None), (False, None), (False, 7), (False, 7)]
     assert [prefix.net for prefix, _ in searched[4:]] == [net, other] * 2
+
+
+def test_unfold_searches_again_only_after_a_cut(searched):
+    # with no event limit, enumerate_processes cuts at 10k + 50 events; only
+    # when that saturates a process does the observation look for an
+    # invisible cycle, and with none the search runs again uncut
+    for net in (cn.builtin("centralised"), chain(70), rings(2)):
+        cn.enumerate_processes(net, 1)
+    assert [(prefix.every, limit) for prefix, limit in searched] == [
+        (True, 60), (True, 60), (False, None), (True, None), (True, 60), (False, None)]
 
 
 def test_one_firing_rule():

@@ -367,6 +367,40 @@ class TestUnfoldAndPomsets:
                 argv = [command, *files, "-k", "1", "--format", fmt, *limit]
                 assert run(capsys, *argv) == (code, out, ""), (n, argv)
 
+    # SHA-256 of unfold's stdout at k=1 on the same chains.  By default each
+    # chain lists all its n + 1 processes, none saturated; at --event-limit
+    # 60 the chains of 61 and 70 both end in one saturated process of 60
+    # events, and the shorter ones are listed whole as by default.
+    UNFOLD_CHAINS = {
+        (59, "human", ()): "eb462733b61eaa748c81c99741d1cbd6e803f1ab23ed16086a748385df013809",
+        (59, "tsv", ()): "a0b79b68b64fff850322116d689044f4d2e37b001999495ff735aa710e214278",
+        (60, "human", ()): "2e63912fae246dac5f5222d66d7571b773be858956d6fe6667783abb6f0648eb",
+        (60, "tsv", ()): "44c874194ec9c9b1ad9c7869ecd596d2b6934cd3658ad551cca95b36bff414d0",
+        (61, "human", ()): "6f1ecd46fd93f7bd916ca909ea634b7e554611d81d3c2952f1144fb2e49d4903",
+        (61, "tsv", ()): "ee1fd983560776c2d029489c4542c7b56cef1bdabd92edeadb923b3a18265d4c",
+        (70, "human", ()): "d7703839236506fceff54c4b5158934ebf14bea0ad0446ace1f50b3dee8627e2",
+        (70, "tsv", ()): "a965080b7edd2ab9642e4880f57c4fa8699c0e9d413ba2e21614348f711d8be8",
+        (61, "human", ("--event-limit", "60")):
+            "dccdfff75c3cb0093ff981ccae898cc26cd23a9ae93a7045328dc3ce34038f17",
+        (61, "tsv", ("--event-limit", "60")):
+            "ab1bce870728f6a637c283451810440d8cb7362ef80dd4ba30b3793e1242175b",
+    }
+
+    def test_unfold_on_invisible_chains_pinned(self, capsys, tmp_path):
+        pins = self.UNFOLD_CHAINS
+        for n in (59, 60, 61, 70):
+            path = tmp_path / f"chain{n}.net"
+            path.write_text(serialize_net(chain(n)), encoding="utf-8")
+            for fmt in ("human", "tsv"):
+                for limit in ((), ("--event-limit", "60")):
+                    # the cut at 60 events keeps the chains of 59 and 60
+                    # whole and leaves the same processes of 61 and 70
+                    pinned = pins[(n, fmt, ()) if not limit or n <= 60 else (61, fmt, limit)]
+                    code, out, err = run(capsys, "unfold", str(path), "-k", "1", "--format", fmt,
+                                         *limit)
+                    got = hashlib.sha256(out.encode()).hexdigest()
+                    assert (code, got, err) == (0, pinned, ""), (n, fmt, limit)
+
     def test_pomsets_on_two_invisible_self_loops(self, tmp_path):
         # 2^(L+1) - 1 processes at event limit L, but only one state: pomsets
         # ends at the default under a memory cap, in a subprocess so that a
@@ -676,11 +710,11 @@ class TestPinnedBytes:
         "pure-m --help":
             "ea74575cd94379d46bf37ef18434ba458a0201fa3eecd37edc09b9afd8a02767",
         "unfold --help":
-            "35e4a3e14637b3795d526402698cdd56102d48b7e87255f467742bdc7c2a3cfd",
+            "dc85cf285b09c83268a811e537c2d623fdfdf7fe28af0dd20b63762407aa8efd",
         "pomsets --help":
-            "819cf5dd9cbe434783cd32a4b08d33dd3e6565d15a7aa8873e39c8e3aa880c76",
+            "b4fa7df6819e4bc544cd015b15642dd3e1ef14fff461ac4884627cceb041a13d",
         "compare --help":
-            "3d65c4bce0675d51b02d15aaed53c6853f6918e019bc3a8dee518850f63077b7",
+            "4a7f084c04a152f1bf4e48aaad5ad83e0e5a860120606f00a5e80d85aae3aab5",
         "deadlock --help":
             "9dba27c2017644d64f3691a142c107dda488816d0df05a92833524a3c91d7b47",
         "refine --help":

@@ -488,6 +488,49 @@ class TestExactObservation:
             assert not any(self.check(chain(n), k) for k in (0, 1))
 
 
+class TestExactUnfold:
+    """``enumerate_processes`` with no event limit cuts a process only when
+    a cycle of invisible firings is reachable within the bound."""
+
+    def test_chains_past_the_old_default_cut(self):
+        # the first search's cut, 10k + 50 events, falls inside each chain at
+        # k=0 and inside the chains of 61 and 70 at k=1; the oracle cuts at
+        # the chain's end, so none of its processes is saturated
+        for n in (59, 60, 61, 70):
+            for k in (0, 1):
+                assert _library_processes(chain(n), k, None) == _oracle_processes(
+                    brute_force_processes(chain(n), k, n)), (n, k)
+
+    def test_saturated_exactly_when_divergent(self):
+        verdicts = Counter((any(e.saturated for e in cn.enumerate_processes(net, k)),
+                            brute_force_divergent(net, k))
+                           for net in _corpus() for k in range(4))
+        assert verdicts == Counter({(False, False): 372, (True, True): 28})
+
+    def test_contact_past_the_first_cut_is_raised(self):
+        # a second token waits at the end of a chain of 70: the first search
+        # cuts at 50 events before it, then the observation meets it
+        line = chain(70)
+        net = cn.make_net(line.places, line.transitions, line.flow, ["p0", "p70"])
+        errors = []
+        for event_limit in (None, 70):
+            with pytest.raises(cn.ContactError) as info:
+                cn.enumerate_processes(net, 0, event_limit)
+            errors.append((str(info.value), info.value.transition, info.value.place,
+                           info.value.marking))
+        assert errors[0] == errors[1] == (
+            "contact: transition t69 puts a second token on place p70", "t69", "p70",
+            frozenset({"p69", "p70"}))
+
+    def test_diverging_rings_keep_their_cut(self):
+        # three invisible rings at k=0: every process of at most 50 events,
+        # the ones cut there saturated
+        entries = cn.enumerate_processes(rings(3), 0)
+        assert [(e.process.config, e.saturated) for e in entries] == [
+            (e.process.config, e.saturated) for e in cn.enumerate_processes(rings(3), 0, 50)]
+        assert (len(entries), sum(e.saturated for e in entries)) == (23426, 1326)
+
+
 class TestVisiblePomset:
     def test_full_run_pomset(self):
         p = cn.visible_pomset(process_of_run(fig2(), ["a", "c", "b"]))
