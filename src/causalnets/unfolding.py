@@ -363,7 +363,12 @@ def canonicalize(labels: Sequence[str], order: Iterable[tuple[int, int]]) -> Pom
     neighbour colours; remaining symmetric vertices are broken by trying
     each member of the first ambiguous class and keeping the least
     resulting encoding.  Vertices with identical neighbourhoods are
-    interchangeable and tried once.
+    interchangeable and tried once.  From the second leaf on, a leaf
+    encoded as the least one so far gives an automorphism, and a vertex in
+    the orbit of one already tried, under the automorphisms found that fix
+    every vertex individualised above it, is skipped (McKay and Piperno,
+    "Practical graph isomorphism, II", 2014): its leaves repeat encodings
+    already seen, so the least encoding is the one every leaf would give.
     """
     n = len(labels)
     order = list(order)
@@ -407,16 +412,22 @@ def canonicalize(labels: Sequence[str], order: Iterable[tuple[int, int]]) -> Pom
                 return colors
             colors = new
 
-    def encode(colors: list[int]):
-        ranked = sorted(range(n), key=colors.__getitem__)
-        position = dict(zip(ranked, range(n)))
-        labs = tuple(labels[i] for i in ranked)
-        pairs = tuple(sorted((position[u], position[v]) for u in range(n) for v in succ[u]))
-        return labs, pairs
+    best = None  # the least leaf's encoding and its vertices in position order
+    autos: list[list[int]] = []  # automorphisms, as vertex -> image, from equal leaves
 
-    best = None
+    def orbit(v: int, path: list[int]) -> set[int]:
+        """The orbit of ``v`` under the automorphisms found that fix ``path``."""
+        maps = [g for g in autos if all(g[u] == u for u in path)]
+        seen, todo = {v}, [v]
+        while todo:
+            u = todo.pop()
+            for g in maps:
+                if g[u] not in seen:
+                    seen.add(g[u])
+                    todo.append(g[u])
+        return seen
 
-    def search(colors: list[int]):
+    def search(colors: list[int], path: list[int]):
         nonlocal best
         colors = refine(colors)
         classes: dict[int, list[int]] = {}
@@ -424,23 +435,38 @@ def canonicalize(labels: Sequence[str], order: Iterable[tuple[int, int]]) -> Pom
             classes.setdefault(c, []).append(i)
         target = next((classes[c] for c in sorted(classes) if len(classes[c]) > 1), None)
         if target is None:
-            enc = encode(colors)
-            if best is None or enc < best:
-                best = enc
+            # through the module global, so a wrapper installed on it sees each leaf
+            enc, ranked = _encode(labels, succ, colors)
+            if best is None or enc < best[0]:
+                best = enc, ranked
+            elif enc == best[0]:
+                autos.append([best[1][c] for c in colors])
             return
         tried = set()
+        done: list[int] = []  # the vertices branched on here
         for v in target:
             twin = (below[v], above[v])
-            if twin in tried:
+            if twin in tried or autos and done and not orbit(v, path).isdisjoint(done):
                 continue
             tried.add(twin)
+            done.append(v)
             branch = list(colors)
             branch[v] = n
-            search(branch)
+            search(branch, path + [v])
 
-    search(initial)
-    labs, pairs = best
+    search(initial, [])
+    labs, pairs = best[0]
     return Pomset(labels=labs, order=pairs)
+
+
+def _encode(labels: Sequence[str], succ: list[list[int]], colors: list[int]
+            ) -> tuple[tuple[tuple[str, ...], tuple[tuple[int, int], ...]], list[int]]:
+    """The encoding of a leaf, whose discrete colouring numbers the vertices
+    0 to n - 1: the labels in that numbering and the sorted numbered pairs;
+    and the vertices in that numbering."""
+    ranked = sorted(range(len(colors)), key=colors.__getitem__)
+    pairs = tuple(sorted((colors[u], colors[v]) for u in ranked for v in succ[u]))
+    return (tuple(labels[i] for i in ranked), pairs), ranked
 
 
 def visible_pomset(process: Process) -> Pomset:
@@ -469,27 +495,27 @@ def _pomset(vset: int, prefix: _Prefix, memo: dict[int, tuple],
             forms: dict[tuple, Pomset]) -> Pomset:
     """The pomset of the visible events in the mask ``vset``: event ``e`` is
     an occurrence of ``prefix.trans[e]`` after the visible events
-    ``prefix.past[e] & prefix.visible``.  ``memo`` keeps per event its
-    longest-chain depth, label, in-degree and predecessors, which no visible
-    set changes.
-
-    Sorted by colour (depth, label, in-degree, out-degree), ties in event
-    order, the events give one form: labels and sorted position pairs.  A
-    discrete colouring is a fixed point of refinement, so that form is
-    canonical; otherwise it is canonicalised once per form in ``forms``."""
-    events = list(_bits(vset))
-    for e in events:  # ascending, so the events before e are in the memo first
+    ``prefix.past[e] & prefix.visible``.  One pass over ``vset`` counts the
+    out-degrees and fills ``memo`` with what no visible set changes: each
+    event's longest-chain depth, label, in-degree and predecessors.  Sorted
+    by colour (depth, label, in-degree, out-degree), ties in event order,
+    the events give one form: labels and sorted position pairs.  A discrete
+    colouring is a fixed point of refinement, so that form is canonical;
+    otherwise it is canonicalised once per form in ``forms``."""
+    outdeg: dict[int, int] = {}  # in ascending event order
+    for e in _bits(vset):  # ascending, so the events before e are in the memo first
         if e not in memo:
             below = tuple(_bits(prefix.past[e] & prefix.visible))
-            depth = max([memo[u][0] + 1 for u in below], default=0)
-            memo[e] = (depth, prefix.net.labelling[prefix.trans[e]], len(below), below)
-    pairs = [(u, e) for e in events for u in memo[e][3]]
-    outdeg = Counter(u for u, _ in pairs)
-    colours = {e: (*memo[e][:3], outdeg[e]) for e in events}
-    ranked = sorted(events, key=colours.__getitem__)
-    position = dict(zip(ranked, range(len(ranked))))
-    form = Pomset(labels=tuple([colours[e][1] for e in ranked]),
-                  order=tuple(sorted([(position[u], position[v]) for u, v in pairs])))
+            depth = max([memo[u][0][0] + 1 for u in below], default=0)
+            memo[e] = ((depth, prefix.net.labelling[prefix.trans[e]], len(below)), below)
+        outdeg[e] = 0
+        for u in memo[e][1]:
+            outdeg[u] += 1
+    colours = {e: (memo[e][0], d) for e, d in outdeg.items()}
+    ranked = sorted(colours, key=colours.__getitem__)
+    position = {e: i for i, e in enumerate(ranked)}
+    pairs = [(position[u], i) for i, v in enumerate(ranked) for u in memo[v][1]]
+    form = Pomset(labels=tuple([colours[e][0][1] for e in ranked]), order=tuple(sorted(pairs)))
     if len(set(colours.values())) == len(colours):
         return form
     pomset = forms.get(form)

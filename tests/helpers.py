@@ -10,11 +10,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import causalnets as cn
 from causalnets.model import DepToken, DependencyMarking
-from causalnets.unfolding import _bits
+from causalnets.unfolding import Pomset, _bits
 
 TAU = "tau"
 
@@ -133,11 +133,109 @@ class NamedOrder(NamedTuple):
     below: frozenset
 
 
-def canonical(o: NamedOrder) -> cn.Pomset:
-    """``cn.canonicalize`` of ``o``, its vertices numbered in listed order."""
+def index_form(o: NamedOrder) -> tuple[list, list[tuple[int, int]]]:
+    """The labels and order pairs of ``o``, its vertices numbered in listed order."""
     vertices, labels, below = o
     index = {v: i for i, v in enumerate(vertices)}
-    return cn.canonicalize([labels[v] for v in vertices], [(index[u], index[v]) for u, v in below])
+    return [labels[v] for v in vertices], [(index[u], index[v]) for u, v in below]
+
+
+def canonical(o: NamedOrder) -> cn.Pomset:
+    """``cn.canonicalize`` of ``o``, its vertices numbered in listed order."""
+    return cn.canonicalize(*index_form(o))
+
+
+def exhaustive_canonicalize(labels: Sequence[str], order: Iterable[tuple[int, int]]) -> Pomset:
+    """Exact canonical form by colour refinement with individualisation,
+    every leaf tried: ``cn.canonicalize`` with no automorphism pruning, the
+    reference its pruned search must agree with.
+
+    Vertex ``i`` has label ``labels[i]``; ``order`` holds the strict,
+    transitively closed precedence pairs ``(u, v)`` of vertex indices, the
+    form a Pomset prints.  Raises ValueError when it is not such an order.
+
+    Vertices are iteratively partitioned by label, in/out degree, and
+    neighbour colours; remaining symmetric vertices are broken by trying
+    each member of the first ambiguous class and keeping the least
+    resulting encoding.  Vertices with identical neighbourhoods are
+    interchangeable and tried once.
+    """
+    n = len(labels)
+    order = list(order)
+    below = [0] * n  # below[v]: mask of the u with (u, v) in order
+    above = [0] * n
+    for u, v in order:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise ValueError(f"order pair ({u}, {v}) must be two distinct indices below {n}")
+        below[v] |= 1 << u
+        above[u] |= 1 << v
+    for u, v in order:
+        if below[u] & ~below[v]:
+            raise ValueError("order must be transitively closed and acyclic")
+
+    def dense(keys: list) -> list[int]:
+        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+        return [rank[k] for k in keys]
+
+    # longest-chain depth leads the initial colouring, so the canonical
+    # numbering is always a linear extension of the order; every pair into
+    # u comes from a vertex of lower in-degree, so depth[u] is final first
+    indeg = [m.bit_count() for m in below]
+    depth = [0] * n
+    for u, v in sorted(order, key=lambda pair: indeg[pair[0]]):
+        if depth[u] >= depth[v]:
+            depth[v] = depth[u] + 1
+    initial = dense([(depth[i], labels[i], indeg[i], above[i].bit_count()) for i in range(n)])
+    pred = [list(_bits(m)) for m in below]
+    succ = [list(_bits(m)) for m in above]
+
+    def refine(colors: list[int]) -> list[int]:
+        while True:
+            keys = [
+                (colors[i],
+                 tuple(sorted(colors[j] for j in pred[i])),
+                 tuple(sorted(colors[j] for j in succ[i])))
+                for i in range(n)
+            ]
+            new = dense(keys)
+            if new == colors:
+                return colors
+            colors = new
+
+    def encode(colors: list[int]):
+        ranked = sorted(range(n), key=colors.__getitem__)
+        position = dict(zip(ranked, range(n)))
+        labs = tuple(labels[i] for i in ranked)
+        pairs = tuple(sorted((position[u], position[v]) for u in range(n) for v in succ[u]))
+        return labs, pairs
+
+    best = None
+
+    def search(colors: list[int]):
+        nonlocal best
+        colors = refine(colors)
+        classes: dict[int, list[int]] = {}
+        for i, c in enumerate(colors):
+            classes.setdefault(c, []).append(i)
+        target = next((classes[c] for c in sorted(classes) if len(classes[c]) > 1), None)
+        if target is None:
+            enc = encode(colors)
+            if best is None or enc < best:
+                best = enc
+            return
+        tried = set()
+        for v in target:
+            twin = (below[v], above[v])
+            if twin in tried:
+                continue
+            tried.add(twin)
+            branch = list(colors)
+            branch[v] = n
+            search(branch)
+
+    search(initial)
+    labs, pairs = best
+    return Pomset(labels=labs, order=pairs)
 
 
 def visible_index_form(process: cn.Process) -> tuple[tuple[str, ...], frozenset]:

@@ -21,7 +21,9 @@ from helpers import (
     discrete_colouring,
     event_trans,
     events,
+    exhaustive_canonicalize,
     fold,
+    index_form,
     loops,
     lpo_from,
     occ_net,
@@ -575,7 +577,7 @@ class TestVisiblePomset:
         # non-discrete exit forms with many equal colours
         cases = [(cn.builtin(name), k, None) for name in cn.BUILTIN_NAMES for k in range(7)]
         cases += [(loops(n, "a"), 7, None) for n in (4, 5, 6)]
-        cases += [(chains(m), 2 * m, None) for m in range(2, 6)]
+        cases += [(chains(m), 2 * m, None) for m in range(2, 8)]
         cases += [(rings(3), 0, limit) for limit in (20, 25, 30)]
         corpus = _corpus()
         corpus += [cn.refine_transition(net, t)[0] for net in corpus for t in sorted(net.transitions)]
@@ -683,6 +685,52 @@ class TestCanonicalize:
         two_chains = lpo_from("aaaa", [(0, 1), (2, 3)])
         one_chain = lpo_from("aaaa", [(0, 1), (1, 2)])
         assert canonical(two_chains) != canonical(one_chain)
+        for o in (anti, crown, shuffled, complete, two_chains, one_chain):
+            assert canonical(o) == exhaustive_canonicalize(*index_form(o))
+
+    def test_matches_the_exhaustive_search(self):
+        # automorphism pruning skips only leaves that repeat an encoding, so
+        # the least one is the full search's: on random orders, half all-a,
+        # and their renamings, and on m disjoint a-chains of two and of
+        # three events, whose m! symmetries are what the pruning skips
+        rng = random.Random(1414)
+        orders = []
+        for i in range(400):
+            o = random_lpo(rng, labels="a" if i % 2 else "abc")
+            orders += [o, shuffled_copy(rng, o)]
+        for length, most in ((2, 7), (3, 5)):
+            for m in range(1, most + 1):
+                orders.append(lpo_from("a" * length * m, [
+                    (length * i + j, length * i + j + 1) for i in range(m) for j in range(length - 1)]))
+        # disjoint cycles of k bottoms and k tops, top i above bottoms i and
+        # i + 1 mod k: every vertex has two neighbours, so refinement keeps
+        # the cycles' bottoms in one class though they lie in several orbits
+        for ks in ((4, 2, 2), (5, 3, 2)):
+            order, n = [], 0
+            for k in ks:
+                order += [(n + (i + d) % k, n + k + i) for i in range(k) for d in (0, 1)]
+                n += 2 * k
+            cycles = lpo_from("a" * n, order)
+            orders += [cycles] + [shuffled_copy(rng, cycles) for _ in range(6)]
+        for o in orders:
+            labels, order = index_form(o)
+            assert cn.canonicalize(labels, order) == exhaustive_canonicalize(labels, order)
+
+    def test_leaves_on_disjoint_chains_grow_quadratically(self, monkeypatch):
+        # m disjoint two-event a-chains have m! automorphisms and the full
+        # search m! leaves; counted through the module global
+        leaves = []
+        encode = cn.unfolding._encode
+
+        def spy(*args):
+            leaves.append(args)
+            return encode(*args)
+
+        monkeypatch.setattr(cn.unfolding, "_encode", spy)
+        for m in range(2, 9):
+            leaves.clear()
+            cn.canonicalize("a" * 2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+            assert 0 < len(leaves) <= m * m, (m, len(leaves))
 
     def test_matches_brute_force_on_seeded_corpus(self):
         rng = random.Random(2718)
