@@ -107,9 +107,9 @@ def concurrency_relation(
 ) -> ConcurrencyRelation:
     """Compute which transition pairs some reachable marking fires together."""
     enabled = _covered(explore_reachable(net, False, state_limit, steps=False))
-    together = {pair for ts in enabled for pair in combinations(ts, 2)}
-    later = net._table.later
-    return ConcurrencyRelation(frozenset(frozenset((t, u)) for t, u in together if u in later[t]))
+    pairs = {pair for ts in enabled for pair in combinations(ts, 2)}
+    later, bit = net._table.later, net._table.step_bit
+    return ConcurrencyRelation(frozenset(frozenset((t, u)) for t, u in pairs if later[t] & bit[u]))
 
 
 def _components(adjacency: Mapping[str, frozenset[str]]) -> dict[str, str]:

@@ -60,10 +60,10 @@ class ContactError(NetError):
 
 
 class _Table:
-    """What the firing loops read about a net, built once.  ``places`` lists
-    the places in sorted order and ``bit`` gives the i-th one bit i; ``moves``
-    maps each transition, in sorted order, to its sorted preset and postset,
-    their masks and its visibility.  ``covered`` is the firing rule.
+    """What the firing loops read about a net, built once.  ``places`` lists the places
+    in sorted order and ``bit`` gives the i-th one bit i; ``moves`` maps each transition, in
+    sorted order, to its sorted preset and postset, their masks and its visibility, and
+    ``step_bit`` gives the k-th one bit k.  ``covered`` is the firing rule.
 
     A dependency marking is coded as one int, read only by this class: its
     place mask, and above it per place in sorted order a field of ``|visible
@@ -85,6 +85,7 @@ class _Table:
             pre, post = sorted(net._preset[t]), sorted(net._postset[t])
             self.moves[t] = (tuple(pre), tuple(post), self.mask(pre), self.mask(post),
                              net.labelling[t] != TAU)
+        self.step_bit = {t: 1 << k for k, t in enumerate(self.moves)}
 
     def mask(self, places: Iterable[str]) -> int:
         return sum(self.bit[p] for p in places)
@@ -129,11 +130,11 @@ class _Table:
         return ContactError(t, min(self.marking(contact)), self.marking(marked))
 
     @cached_property
-    def later(self) -> dict[str, frozenset[str]]:
-        """Per transition, the later ones in sorted order with disjoint presets and postsets."""
+    def later(self) -> dict[str, int]:
+        """Per transition, the mask of the later ones with disjoint presets and postsets."""
         moves = list(self.moves.items())
-        return {t: frozenset(u for u, (_, _, upre, upost, _) in moves[k + 1:]
-                             if not (pre & upre or post & upost))
+        return {t: sum(self.step_bit[u] for u, (_, _, upre, upost, _) in moves[k + 1:]
+                       if not (pre & upre or post & upost))
                 for k, (t, (_, _, pre, post, _)) in enumerate(moves)}
 
     @cached_property

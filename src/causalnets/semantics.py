@@ -54,7 +54,8 @@ def _as_step(net: LabelledNet, step: Iterable[str]) -> frozenset[str]:
 def _enabled(table, code: int, G: frozenset[str]) -> bool:
     """Whether every member of ``G`` may fire at ``code`` and no two conflict."""
     fireable = {t for t, contact, _ in table.covered(code) if not contact}
-    return G <= fireable and all(u in table.later[t] for t, u in combinations(sorted(G), 2))
+    later, bit = table.later, table.step_bit
+    return G <= fireable and all(later[t] & bit[u] for t, u in combinations(sorted(G), 2))
 
 
 def _after(table, code: int, G: Iterable[str]) -> int:
@@ -71,8 +72,9 @@ def _labelled(table, code: int, want: Mapping[str, int]) -> set[int]:
     pools = [combinations([t for t in fireable if table.labelling[t] == lab], count)
              for lab, count in want.items()]
     steps = (sorted(chain.from_iterable(pick)) for pick in product(*pools))
+    later, bit = table.later, table.step_bit
     return {_after(table, code, G) for G in steps
-            if all(u in table.later[t] for t, u in combinations(G, 2))}
+            if all(later[t] & bit[u] for t, u in combinations(G, 2))}
 
 
 def step_enabled(net: LabelledNet, marking: DependencyMarking, step: Iterable[str]) -> bool:
@@ -184,17 +186,21 @@ class ReachGraph(NamedTuple):
         return len(self.nodes) <= self.state_bound
 
     def fields(self) -> tuple[list[str], list[tuple[int, str, str, int]]]:
-        """The node bodies by index and the edges as (source, step ids,
-        sorted labels, target) in output order, as ``to_text`` and the CLI's
-        TSV rows print them."""
+        """The node bodies by index and the edges as (source, step ids, sorted labels, target)
+        by source, target and step, as ``to_text`` and the CLI's TSV rows print them: sorted
+        stably on one int per (source, target), by step first if one's steps are out of order."""
         if self.dependency:
             bodies = [node.text() for node in self.nodes]
         else:
             bodies = [" ; ".join(sorted(node)) for node in self.nodes]
         # Each distinct step's sorted labels are built once, keyed by its ids:
         # a string keeps its hash, so a new step is hashed once, not twice.
-        labelling, shown, rows = self.labelling, {}, []
-        for i, j, g in sorted((e.source, e.target, e.step) for e in self.edges):
+        n, labelling, shown, rows = len(self.nodes), self.labelling, {}, []
+        pi, pg, pj = -1, (), -1  # the last edge's source, step and target
+        for i, g, j in sorted(self.edges, key=lambda e: e.source * n + e.target):
+            if j == pj and i == pi and g < pg:  # one (source, target)'s steps out of step order
+                return self._replace(edges=sorted(self.edges, key=lambda e: e.step)).fields()
+            pi, pg, pj = i, g, j
             ids = ",".join(g)
             if (labels := shown.get(ids)) is None:
                 labels = shown[ids] = ",".join(sorted([labelling[t] for t in g]))
@@ -216,16 +222,16 @@ def explore_reachable(
 ) -> ReachGraph:
     """Build the reachability graph from the initial (dependency) marking.
 
-    With ``steps`` every step ``fire_step`` accepts becomes an edge: up to
-    2^n - 1 edges at a node enabling n independent transitions.  Once
-    ``state_limit`` nodes exist, edges into new nodes are dropped and the
-    partial graph is returned with ``limit_exceeded`` set.
+    With ``steps`` every step ``fire_step`` accepts becomes an edge: up to 2^n - 1 edges at a
+    node enabling n independent transitions.  A node's steps are enumerated over transition
+    masks, its fireable ones and each one's ``later`` independent ones, lowest bit first, so its
+    edges come in lexicographic step order.  Once ``state_limit`` nodes exist, edges into new
+    nodes are dropped and the partial graph is returned with ``limit_exceeded`` set.
 
-    Without ``steps`` this is the interleaving search: each transition whose
-    preset a node covers, in sorted order, is a singleton-step edge; every
-    step fires as an interleaving of its members, so the same nodes are
-    reached, in BFS order.  It stops with ContactError at the first
-    transition in contact, or with LimitExceededError at the first node past
+    Without ``steps`` this is the interleaving search: each transition whose preset a node
+    covers, in sorted order, is a singleton-step edge; every step fires as an interleaving of
+    its members, so the same nodes are reached, in BFS order.  It stops with ContactError at
+    the first transition in contact, or with LimitExceededError at the first node past
     ``state_limit``.
     """
     if state_limit < 1:
@@ -251,39 +257,42 @@ def explore_reachable(
         nodes.append(after)
         return j
 
-    later = table.later if steps else {}
-    # What each enabled transition takes and puts: fixed place masks, or per node
-    # ``table.effect``'s.  A step's members are independent and enabled, so none puts
-    # on another's preset: the successor is the node less all taken plus all put.
-    effect = {t: move[2:4] for t, move in table.moves.items()}
+    # What each enabled transition takes and puts, in ``effect`` by table position: fixed place
+    # masks, or per node ``table.effect``'s.  A step's members are independent and enabled, so
+    # none puts on another's preset: the successor is the node less all taken plus all put.
+    fixed = {t: move[2:4] for t, move in table.moves.items()}
+    bit, name, effect = table.step_bit, [*fixed], [*fixed.values()]
+    later = [*table.later.values()] if steps else []
 
-    # The steps at node i, as sorted tuples in lexicographic order, recorded
-    # one at a time rather than collected first: loops(12) has 4095 at a node.
-    def grow(i: int, g: tuple[str, ...], before: int, candidates: list[str]):
-        last = len(candidates) - 1
-        for k, t in enumerate(candidates):
-            took, put = effect[t]
+    # The steps at node i that extend g by transitions in the mask ``remaining``, lowest bit
+    # first: sorted tuples in lexicographic order, recorded as made (loops(12) has 4095).
+    def grow(i: int, g: tuple[str, ...], before: int, remaining: int):
+        while remaining:
+            k = (remaining & -remaining).bit_length() - 1
+            took, put = effect[k]
             after = before - took | put
-            step = g + (t,)
+            step = g + (name[k],)
             j = get(after)
             if j is None:
                 j = add_node(after)
             if j is not None:
                 append(new_edge((i, step, j)))
-            if k < last and (rest := [*filter(later[t].__contains__, candidates[k + 1:])]):
+            if rest := remaining & later[k]:  # later[k] has no bit at or below k
                 grow(i, step, after, rest)
+            remaining &= remaining - 1
 
     for i, code in enumerate(nodes):  # the BFS queue: nodes are appended in discovery order
         covered = table.covered(code)
-        if dependency:
-            effect = {t: table.effect(code, t) for t, contact, _ in covered if not contact}
         if steps:
-            grow(i, (), code, [t for t, contact, _ in covered if not contact])
+            fire = sum([bit[t] for t, contact, _ in covered if not contact])
+            if dependency:
+                effect = [table.effect(code, t) if fire & b else None for t, b in bit.items()]
+            grow(i, (), code, fire)
             continue
         for t, contact, _ in covered:
             if contact:
                 raise table.contact(t, contact, code)
-            took, put = effect[t]
+            took, put = table.effect(code, t) if dependency else fixed[t]
             after = code - took | put
             j = get(after)
             append(new_edge((i, (t,), add_node(after) if j is None else j)))

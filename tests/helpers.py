@@ -30,6 +30,14 @@ def loops(n, label=None):
                        {t: label for t in ts} if label else None)
 
 
+def oneshot(n):
+    """n independent visible one-shot transitions: every subset of the
+    enabled ones is a step."""
+    ps, qs, ts = ([f"{x}{i:02d}" for i in range(n)] for x in "pqt")
+    return cn.make_net(ps + qs, ts, list(zip(ps, ts)) + list(zip(ts, qs)), ps,
+                       {t: f"a{i:02d}" for i, t in enumerate(ts)})
+
+
 def chain(n):
     """n invisible transitions in a line, p0 -> t0 -> p1 -> ... -> p<n>: no
     cycle, and every run ends after n events."""

@@ -121,7 +121,7 @@ def test_process_entry_is_a_named_tuple():
 
 
 def test_independence_is_read_from_the_table():
-    # step_enabled and the explorer test ``u in net._table.later[t]``
+    # step_enabled and the explorer read the masks ``net._table.later``
     assert not hasattr(semantics, "_independent")
 
 

@@ -18,7 +18,7 @@ from causalnets.model import (
 )
 from causalnets.transforms import BUILTIN_NAMES
 
-from helpers import chain, loops, random_net, rings
+from helpers import chain, loops, oneshot, random_net, rings
 
 ROOT = Path(__file__).resolve().parent.parent
 NETS = ROOT / "src" / "causalnets" / "nets"
@@ -32,14 +32,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def oneshot(n):
-    """n independent visible one-shot transitions: every subset of the
-    enabled ones is a step."""
-    ps, qs, ts = ([f"{x}{i:02d}" for i in range(n)] for x in "pqt")
-    return make_net(ps + qs, ts, list(zip(ps, ts)) + list(zip(ts, qs)), ps,
-                    {t: f"a{i:02d}" for i, t in enumerate(ts)})
 
 
 class TestValidate:
@@ -152,7 +144,8 @@ class TestReach:
     def test_step_heavy_bytes_pinned(self, capsys, tmp_path):
         # SHA-256 of the bytes printed while every step was fired from
         # scratch; these nets enable many steps per node, unlike the
-        # bundled ones
+        # bundled ones: up to 127 steps at a node of oneshot(7), and 1023
+        # at the one node of loops(10)
         pinned = {
             ("oneshot4", "plain", "human"):
                 "21a9d20c535207cc777c7c94ba97b5faf5ca28659a4a3a3740e2e7309e2a7230",
@@ -178,8 +171,33 @@ class TestReach:
                 "b2ba73741d3d4bf767e735d9d630973cc24553794a377ea64f39b2121f88b64d",
             ("rings2", "dependency", "tsv"):
                 "5f18ddad422036d2ca2c8f8f0ad5ee4e309c673f5193bb2260e82d825a3078e5",
+            ("oneshot7", "plain", "human"):
+                "3dd5025da78231170c0ab69e7664cb413fb004b07d620bfcfd7b56b719c67b52",
+            ("oneshot7", "plain", "tsv"):
+                "2c177be661be3720ef19cabe4e4db02186a9ca370e57878143745149cf6f8f65",
+            ("oneshot7", "dependency", "human"):
+                "3287a6f7b74ea28c9f436c57982f0f558fbd8a1bcaf0916924718107f3a8df71",
+            ("oneshot7", "dependency", "tsv"):
+                "ec93cc0d794433b114bcdef9a5c8fd6d5886775be93aea7b0781b2a3983e5509",
+            ("loops10", "plain", "human"):
+                "f331bba0098e733731b7491781fe50b8fdbca80179836b82a56cbb999d719410",
+            ("loops10", "plain", "tsv"):
+                "c637febad6c3ea30f842bafc0ebe379a62e4f31a626af8dd7ed9005cccf10683",
+            ("loops10", "dependency", "human"):
+                "c1026f7d6209b1db80dc2b448aedb6d7925c073742d7ef70ae7f9f1708b97f9d",
+            ("loops10", "dependency", "tsv"):
+                "2768a227a81ffa771397ea1d52170b146fd17d7102eeb130e8b1a1daaed93bad",
+            ("rings3", "plain", "human"):
+                "73225d6690f09fd2dffcb8328a04ad7adf68752a3902a3e280ef0d77a138aa84",
+            ("rings3", "plain", "tsv"):
+                "5457c2970d19b34e5def96a3c69835e6fffceabc533cb65317fdc51f3ec5260c",
+            ("rings3", "dependency", "human"):
+                "1f5c1fc757f29a8c493551fe08b44b533c4070c3ff299e80e304dbf64f1cc5d1",
+            ("rings3", "dependency", "tsv"):
+                "86d6786d7e81a31ae28eb278e5bd702f33b9000b5a0f1e5a29466e887ebb5dbb",
         }
-        nets = {"oneshot4": oneshot(4), "loops6": loops(6), "rings2": rings(2)}
+        nets = {"oneshot4": oneshot(4), "loops6": loops(6), "rings2": rings(2),
+                "oneshot7": oneshot(7), "loops10": loops(10), "rings3": rings(3)}
         for name, built in nets.items():
             (tmp_path / f"{name}.net").write_text(serialize_net(built), encoding="utf-8")
         for (name, mode, fmt), digest in pinned.items():

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 import causalnets as cn
 
-from helpers import brute_force_step_graph, random_contact_free_nets, random_net, tokens_of
+from helpers import (
+    brute_force_step_graph, loops, oneshot, random_contact_free_nets, random_net, rings, tokens_of,
+)
 
 
 def old_contact_search(net, state_limit):
@@ -68,6 +70,27 @@ def corpus():
 
 NETS = corpus()
 
+
+def wide_draws(count=3):
+    """The first seeded ``random_net`` draws with a step of three or more
+    members, by the oracle: the corpus above rarely has one."""
+    rng, found = random.Random(36), []
+    while len(found) < count:
+        net = random_net(rng, max_places=6, max_transitions=6, tau_prob=0.3)
+        if any(len(step) > 2 for _, step, _, _ in brute_force_step_graph(net, False, 10**4)[1]):
+            found.append(net)
+    return found
+
+
+# Steps of many members: up to 63 at a node of oneshot(6), 255 at loops(8)'s
+# one node, 7 at each node of rings(3); and t, u with disjoint presets and a
+# shared postset place, both fireable at the root but never one step
+SHARED_POST = cn.parse_net(
+    "place p *\nplace q *\nplace r\ntrans t : a\ntrans u : b\n"
+    "arc p -> t\narc t -> r\narc q -> u\narc u -> r\n"
+)
+WIDE = [oneshot(6), loops(8), rings(3), *wide_draws(), SHARED_POST]
+
 # t would put a second token on q; the blocking rule leaves t disabled
 ITEM10 = cn.parse_net(
     "place p *\nplace q *\nplace r *\ntrans t : a\ntrans u : b\n"
@@ -101,7 +124,7 @@ def test_corpus_has_both_kinds():
 
 def test_step_graph_matches_brute_force():
     rng = random.Random(8)
-    for net in NETS:
+    for net in NETS + WIDE:
         for dependency in (False, True):
             reachable = len(brute_force_step_graph(net, dependency, 10**6)[0])
             for limit in sorted({1, reachable, reachable + 1, rng.randint(1, reachable + 1)}):

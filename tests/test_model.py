@@ -241,15 +241,18 @@ class TestTable:
                 assert table.mask(m) == mask(m) and table.marking(mask(m)) == m
                 assert table.covered(mask(m)) == [
                     (t, mask((m - pre[t]) & post[t]), visible[t]) for t in ts if pre[t] <= m]
+            assert table.step_bit == {t: 2 ** ts.index(t) for t in ts}
             assert table.later == {
-                t: {u for u in ts if t < u and not pre[t] & pre[u] and not post[t] & post[u]}
+                t: sum(2 ** ts.index(u) for u in ts
+                       if t < u and not pre[t] & pre[u] and not post[t] & post[u])
                 for t in ts}
             assert table.sharing == {t: {u for u in ts if u != t and pre[t] & pre[u]} for t in ts}
 
     def test_relations_are_frozen_and_sharing_symmetric(self):
         for net in table_nets():
             later, sharing = net._table.later, net._table.sharing
-            assert all(type(v) is frozenset for v in [*later.values(), *sharing.values()])
+            assert all(type(v) is int for v in later.values())
+            assert all(type(v) is frozenset for v in sharing.values())
             assert all(t not in us and all(t in sharing[u] for u in us)
                        for t, us in sharing.items())
 

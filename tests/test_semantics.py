@@ -274,6 +274,33 @@ class TestExploreReachable:
         assert "edge 0 -[a,c|{a,c}]-> " in text
         assert "node 3:" in text or "node 4:" in text  # the empty marking line
 
+    def test_fields_order_on_hand_built_graphs(self):
+        # Rows come by source, target and step however the edges are listed:
+        # shuffled, two steps from node 0 to node 1 and three from node 2 to
+        # node 1, and a run of nine self-loops at node 0, as loops(n) has
+        # 2^n - 1 at its one node.  ("a", "b") sorts before ("a_",), and
+        # ("a_",) before ("ab",).
+        labelling = {"a": "y", "a_": "x", "ab": "x", "b": "tau", "c": "x"}
+        loops = [("a",), ("a", "b"), ("a", "b", "c"), ("a", "c"), ("a_",), ("ab",), ("b",),
+                 ("b", "c"), ("c",)]
+        edges = [cn.ReachEdge(0, g, 0) for g in loops]
+        edges += [cn.ReachEdge(0, ("c",), 1), cn.ReachEdge(0, ("a", "c"), 1),
+                  cn.ReachEdge(1, ("b",), 0), cn.ReachEdge(1, ("a",), 2),
+                  cn.ReachEdge(2, ("b", "c"), 1), cn.ReachEdge(2, ("a_",), 1),
+                  cn.ReachEdge(2, ("a", "b"), 1), cn.ReachEdge(2, ("c",), 0)]
+        nodes = [frozenset({"p", "q"}), frozenset({"q"}), frozenset()]
+        expected = [(s, ",".join(g), ",".join(sorted(labelling[t] for t in g)), t)
+                    for s, t, g in sorted((e.source, e.target, e.step) for e in edges)]
+        assert expected[:3] == [(0, "a", "y", 0), (0, "a,b", "tau,y", 0),
+                                (0, "a,b,c", "tau,x,y", 0)]
+        rng = random.Random(36)
+        orders = [edges, edges[::-1]] + [rng.sample(edges, len(edges)) for _ in range(40)]
+        for listed in orders:
+            graph = cn.ReachGraph(dependency=False, nodes=nodes, edges=listed, state_bound=4,
+                                  limit_exceeded=False, labelling=labelling)
+            assert graph.fields() == (["p ; q", "q", ""], expected)
+            assert graph.edges == listed
+
     def test_every_enabled_step_becomes_an_edge(self):
         graph = cn.explore_reachable(fig2(), dependency=False)
         start = graph.nodes.index(frozenset({"p", "q"}))
