@@ -117,7 +117,7 @@ def _components(adjacency: Mapping[str, frozenset[str]]) -> dict[str, str]:
     component: dict[str, str] = {}
     for start in sorted(adjacency):
         if start not in component:
-            component.update(dict.fromkeys(_bfs_tree(adjacency, start), start))
+            component.update(dict.fromkeys(_bfs_tree(adjacency.__getitem__, [start]), start))
     return component
 
 
@@ -138,7 +138,8 @@ def check_distributed(
     for pair in sorted(conc.pairs, key=lambda p: tuple(sorted(p))):
         t, u = sorted(pair)
         if component[t] == component[u]:
-            return DistributabilityVerdict(chain=_path(_bfs_tree(adjacency, t), u))
+            tree = _bfs_tree(lambda x: sorted(adjacency[x]), [t])
+            return DistributabilityVerdict(chain=_path(tree, u))
 
     location_of: dict[str, str] = {}
     roots = sorted({component[t] for t in net.transitions})

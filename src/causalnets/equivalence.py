@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .model import DEFAULT_STATE_LIMIT, TAU, LabelledNet
-from .semantics import explore_reachable
+from .semantics import _bfs_tree, _path, explore_reachable
 from .unfolding import Pomset, _observe
 
 __all__ = (
@@ -120,28 +120,23 @@ def find_local_deadlock(
     n = len(graph.nodes)
     predecessors: list[list[int]] = [[] for _ in range(n)]
     enabled_labels: list[set[str]] = [set() for _ in range(n)]
-    # The first edge into a node is the one that discovered it: a BFS tree.
-    parent: list[tuple[int, str] | None] = [None] * n
+    # The first edge into a node is the one that discovered it: a BFS tree,
+    # kept as each node's parent and the transition of that edge.
+    parent: list[int | None] = [None] * n
+    via: list[str] = [""] * n
     for e in graph.edges:  # in BFS order, each node's in sorted transition order
         (t,) = e.step
         predecessors[e.target].append(e.source)
         if net.labelling[t] != TAU:
             enabled_labels[e.source].add(net.labelling[t])
         if e.target and parent[e.target] is None:
-            parent[e.target] = (e.source, t)
+            parent[e.target], via[e.target] = e.source, t
     live = _live_labels(predecessors, enabled_labels)
 
-    def trace_to(i: int) -> tuple[str, ...]:
-        steps: list[str] = []
-        while parent[i] is not None:
-            i, t = parent[i]
-            steps.append(t)
-        return tuple(reversed(steps))
-
     # Each (marking, dead label) keeps the witness with the least
-    # (len(trace), trace), where the trace is trace_to(i) + (t,).  BFS
-    # numbers nodes by depth, and within one depth in the order of their
-    # traces, so the first edge in (i, t) order is that witness.
+    # (len(trace), trace), where the trace leads along the tree to i and
+    # then fires t.  BFS numbers nodes by depth, and within one depth in the
+    # order of their traces, so the first edge in (i, t) order is that witness.
     best: dict[tuple[int, str], tuple[int, str]] = {}
     for e in graph.edges:
         (t,), i, j = e.step, e.source, e.target
@@ -150,7 +145,8 @@ def find_local_deadlock(
                 best.setdefault((j, x), (i, t))
     witnesses = [
         LocalDeadlockWitness(
-            trace=trace_to(i) + (t,), marking=graph.nodes[j], dead_label=x, live_labels=live[j]
+            trace=(*[via[y] for y in _path(parent, i)[1:]], t), marking=graph.nodes[j],
+            dead_label=x, live_labels=live[j],
         )
         for (j, x), (i, t) in best.items()
     ]
@@ -160,16 +156,12 @@ def find_local_deadlock(
 def _live_labels(
     predecessors: list[list[int]], enabled_labels: list[set[str]]
 ) -> list[frozenset[str]]:
-    """For every node, the labels enabled at some node reachable from it:
-    one backward search per label from the nodes that enable it."""
+    """For every node, the labels enabled at some node reachable from it: per
+    label, the keys of one ``_bfs_tree`` over ``predecessors`` from the nodes
+    that enable it are the nodes that reach one of them."""
     live: list[set[str]] = [set() for _ in predecessors]
     for x in set().union(*enabled_labels):
-        stack = [i for i, labels in enumerate(enabled_labels) if x in labels]
-        for i in stack:
+        enabling = [i for i, labels in enumerate(enabled_labels) if x in labels]
+        for i in _bfs_tree(predecessors.__getitem__, enabling):
             live[i].add(x)
-        while stack:
-            for i in predecessors[stack.pop()]:
-                if x not in live[i]:
-                    live[i].add(x)
-                    stack.append(i)
     return [frozenset(labels) for labels in live]

@@ -351,6 +351,19 @@ def initial_dependency_marking(net: LabelledNet) -> DependencyMarking:
 # reference ids declared on earlier lines.
 
 
+class _LineError(Exception):
+    """A parse error's message and the index of the word it points at; one
+    past the last word points at the line's end.  ``parse_net`` adds the column."""
+
+
+def _ident(words: list[str], i: int) -> str:
+    if i >= len(words):
+        raise _LineError("expected an identifier", len(words))
+    if not _ID_RE.match(words[i]):
+        raise _LineError(f"invalid identifier {words[i]!r}", i)
+    return words[i]
+
+
 def parse_net(text: str) -> LabelledNet:
     """Parse the line-oriented net format into a LabelledNet."""
     places: set[str] = set()
@@ -361,67 +374,59 @@ def parse_net(text: str) -> LabelledNet:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        tokens = list(re.finditer(r"\S+", line))
-        if not tokens:
+        words = line.split()  # str.split and the regex \S+ agree on whitespace
+        if not words:
             continue
-
-        def err(message: str, tok: re.Match | None = None) -> NetParseError:
-            col = (tok.start() + 1) if tok is not None else (len(line.rstrip()) + 1)
-            return NetParseError(message, lineno, col)
-
-        def ident(i: int) -> str:
-            if i >= len(tokens):
-                raise err("expected an identifier")
-            word = tokens[i].group()
-            if not _ID_RE.match(word):
-                raise err(f"invalid identifier {word!r}", tokens[i])
-            return word
-
-        kind = tokens[0].group()
-        if kind == "place":
-            name = ident(1)
-            star = len(tokens) > 2 and tokens[2].group() == "*"
-            if len(tokens) > 2 + star:
-                raise err("expected end of line or '*'", tokens[2 + star])
-            if name in places or name in transitions:
-                raise err(f"duplicate declaration of {name!r}", tokens[1])
-            places.add(name)
-            if star:
-                marking.add(name)
-        elif kind == "trans":
-            name = ident(1)
-            if name in places or name in transitions:
-                raise err(f"duplicate declaration of {name!r}", tokens[1])
-            if len(tokens) == 2:
-                label = TAU
-            elif len(tokens) == 4 and tokens[2].group() == ":":
-                label = ident(3)
-                if label == TAU:
-                    raise err(f"{TAU!r} is reserved for the invisible label", tokens[3])
+        try:
+            kind = words[0]
+            if kind == "place":
+                name = _ident(words, 1)
+                star = len(words) > 2 and words[2] == "*"
+                if len(words) > 2 + star:
+                    raise _LineError("expected end of line or '*'", 2 + star)
+                if name in places or name in transitions:
+                    raise _LineError(f"duplicate declaration of {name!r}", 1)
+                places.add(name)
+                if star:
+                    marking.add(name)
+            elif kind == "trans":
+                name = _ident(words, 1)
+                if name in places or name in transitions:
+                    raise _LineError(f"duplicate declaration of {name!r}", 1)
+                if len(words) == 2:
+                    label = TAU
+                elif len(words) == 4 and words[2] == ":":
+                    label = _ident(words, 3)
+                    if label == TAU:
+                        raise _LineError(f"{TAU!r} is reserved for the invisible label", 3)
+                else:
+                    raise _LineError("expected 'trans <id>' or 'trans <id> : <label>'", 2)
+                transitions.add(name)
+                labelling[name] = label
+            elif kind == "arc":
+                src = _ident(words, 1)
+                if len(words) < 3 or words[2] != "->":
+                    raise _LineError("expected '->'", 2)
+                dst = _ident(words, 3)
+                if len(words) > 4:
+                    raise _LineError("unexpected trailing text", 4)
+                for name, i in ((src, 1), (dst, 3)):
+                    if name not in places and name not in transitions:
+                        raise _LineError(f"unknown id {name!r} in arc", i)
+                src_is_place = src in places
+                dst_is_place = dst in places
+                if src_is_place == dst_is_place:
+                    which = "place" if src_is_place else "transition"
+                    raise _LineError(f"arc connects two {which}s", 1)
+                if (src, dst) in flow:
+                    raise _LineError(f"duplicate arc {src} -> {dst}", 1)
+                flow.add((src, dst))
             else:
-                raise err("expected 'trans <id>' or 'trans <id> : <label>'", tokens[2])
-            transitions.add(name)
-            labelling[name] = label
-        elif kind == "arc":
-            src = ident(1)
-            if len(tokens) < 3 or tokens[2].group() != "->":
-                raise err("expected '->'", tokens[2] if len(tokens) > 2 else None)
-            dst = ident(3)
-            if len(tokens) > 4:
-                raise err("unexpected trailing text", tokens[4])
-            for name, tok in ((src, tokens[1]), (dst, tokens[3])):
-                if name not in places and name not in transitions:
-                    raise err(f"unknown id {name!r} in arc", tok)
-            src_is_place = src in places
-            dst_is_place = dst in places
-            if src_is_place == dst_is_place:
-                which = "place" if src_is_place else "transition"
-                raise err(f"arc connects two {which}s", tokens[1])
-            if (src, dst) in flow:
-                raise err(f"duplicate arc {src} -> {dst}", tokens[1])
-            flow.add((src, dst))
-        else:
-            raise err(f"unknown directive {kind!r}", tokens[0])
+                raise _LineError(f"unknown directive {kind!r}", 0)
+        except _LineError as exc:
+            message, at = exc.args
+            starts = [m.start() for m in re.finditer(r"\S+", line)] + [len(line.rstrip())]
+            raise NetParseError(message, lineno, starts[at] + 1) from None
 
     return LabelledNet(
         places=frozenset(places),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import partial
 from itertools import chain, combinations, product
-from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .model import (
     DEFAULT_STATE_LIMIT,
@@ -111,6 +111,30 @@ def labelled_step(
     return {table.decode(code) for code in _labelled(table, table.encode(marking), want)}
 
 
+def _bfs_tree(after: Callable[[T], Iterable[T]], starts: Iterable[T]) -> dict[T, T | None]:
+    """The breadth-first forest from ``starts`` over the successor function
+    ``after``, taking successors in the order it gives them: each node
+    reachable from a start mapped to the node that first reached it, each
+    start to None.  Its keys are the closure of ``starts`` under ``after``."""
+    parent = dict.fromkeys(starts)
+    queue = list(parent)
+    for x in queue:  # the BFS queue: nodes are appended in discovery order
+        for y in after(x):
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    return parent
+
+
+def _path(tree: Sequence[T | None] | Mapping[T, T | None], goal: T) -> tuple[T, ...]:
+    """The path in ``tree``, a parent map or a parent list, from its root to
+    ``goal``, both included: a shortest one from the root in a BFS tree."""
+    path = [goal]
+    while (x := tree[path[-1]]) is not None:
+        path.append(x)
+    return tuple(reversed(path))
+
+
 def weak_step(
     net: LabelledNet, marking: DependencyMarking, sigma: Sequence[str]
 ) -> set[DependencyMarking]:
@@ -120,18 +144,10 @@ def weak_step(
     arbitrary invisible steps may occur before, between, and after them.
     An empty ``sigma`` yields the invisible-step closure of ``marking``.
     """
-    table = net._table
-
-    def closed(codes: set[int]) -> set[int]:
-        """``codes`` and every code invisible steps reach from them."""
-        stack = list(codes)
-        while stack:
-            new = _labelled(table, stack.pop(), {TAU: 1}) - codes
-            codes |= new
-            stack += new
-        return codes
-
-    current = closed({table.encode(marking)})
+    table, tau = net._table, {TAU: 1}
+    # codes and every code invisible steps reach from them, as a forest's keys
+    closed = partial(_bfs_tree, lambda code: _labelled(table, code, tau))
+    current = closed([table.encode(marking)])
     for a in sigma:
         if a == TAU:
             raise ValueError("sequences range over visible labels only")
@@ -324,29 +340,6 @@ class CycleViolation(NamedTuple):
     transition: str
 
 
-def _bfs_tree(adjacency: Mapping[T, Iterable[T]], start: T) -> dict[T, T | None]:
-    """The breadth-first tree from ``start``, following neighbours in sorted
-    order: each node reachable from ``start`` mapped to its parent, and
-    ``start`` to None."""
-    parent: dict = {start: None}
-    queue = [start]
-    for x in queue:  # the BFS queue: nodes are appended in discovery order
-        for y in sorted(adjacency.get(x, ())):
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    return parent
-
-
-def _path(tree: Mapping[T, T | None], goal: T) -> tuple[T, ...]:
-    """The path in ``tree`` from its root to ``goal``, both included: a
-    shortest one from the root."""
-    path = [goal]
-    while (x := tree[path[-1]]) is not None:
-        path.append(x)
-    return tuple(reversed(path))
-
-
 def check_cycle_dependency(net: LabelledNet, graph: ReachGraph) -> list[CycleViolation]:
     """Check every edge of a dependency reach graph that lies on a cycle.
 
@@ -378,7 +371,7 @@ def check_cycle_dependency(net: LabelledNet, graph: ReachGraph) -> list[CycleVio
                 bad.setdefault(e.target, set()).add((e.source, t))
     violations = []
     for target, firings in bad.items():
-        tree = _bfs_tree(adjacency, target)
+        tree = _bfs_tree(lambda i: sorted(adjacency.get(i, ())), [target])
         violations += [CycleViolation((source, *_path(tree, source)[:-1]), t)
                        for source, t in firings if source in tree]
     return sorted(violations, key=lambda v: (v.cycle, v.transition))

@@ -14,10 +14,10 @@ canonical form so that value equality coincides with isomorphism.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .model import LabelledNet, UnknownElementError
-from .semantics import LimitExceededError
+from .semantics import LimitExceededError, _bfs_tree
 
 __all__ = (
     "Pomset", "Process", "ProcessEntry", "canonicalize", "enumerate_processes",
@@ -415,17 +415,10 @@ def canonicalize(labels: Sequence[str], order: Iterable[tuple[int, int]]) -> Pom
     best = None  # the least leaf's encoding and its vertices in position order
     autos: list[list[int]] = []  # automorphisms, as vertex -> image, from equal leaves
 
-    def orbit(v: int, path: list[int]) -> set[int]:
+    def orbit(v: int, path: list[int]) -> AbstractSet[int]:
         """The orbit of ``v`` under the automorphisms found that fix ``path``."""
         maps = [g for g in autos if all(g[u] == u for u in path)]
-        seen, todo = {v}, [v]
-        while todo:
-            u = todo.pop()
-            for g in maps:
-                if g[u] not in seen:
-                    seen.add(g[u])
-                    todo.append(g[u])
-        return seen
+        return _bfs_tree(lambda u: [g[u] for g in maps], [v]).keys()
 
     def search(colors: list[int], path: list[int]):
         nonlocal best

@@ -110,6 +110,34 @@ def oracle_fire(net, tokens, step) -> set:
     return out
 
 
+def oracle_labelled_step(net, tokens, labels) -> set[frozenset]:
+    """The token sets after each step, a set of distinct transitions whose
+    labels are the multiset ``labels``, that ``oracle_step_enabled`` accepts."""
+    want = sorted(labels)
+    return {frozenset(oracle_fire(net, tokens, g))
+            for g in combinations(sorted(net.transitions), len(want))
+            if sorted(net.labelling[t] for t in g) == want and oracle_step_enabled(net, tokens, g)}
+
+
+def oracle_weak_step(net, tokens, sigma) -> set[frozenset]:
+    """The token sets reached by firing each label of ``sigma`` as a singleton
+    step, with any singleton invisible firings before, between and after."""
+
+    def closed(current: set) -> set:
+        todo = list(current)
+        while todo:
+            for after in oracle_labelled_step(net, todo.pop(), [TAU]):
+                if after not in current:
+                    current.add(after)
+                    todo.append(after)
+        return current
+
+    current = closed({frozenset(tokens)})
+    for a in sigma:
+        current = closed({after for x in current for after in oracle_labelled_step(net, x, [a])})
+    return current
+
+
 def tokens_of(marking: DependencyMarking) -> set:
     return {(tok.place, tok.deps) for tok in marking.tokens}
 

@@ -184,6 +184,49 @@ def test_unfold_searches_again_only_after_a_cut(searched):
         (True, 60), (True, 60), (False, None), (True, None), (True, 60), (False, None)]
 
 
+@pytest.fixture
+def walks(monkeypatch) -> list:
+    """The module through whose ``_bfs_tree`` each call went, in call order."""
+    calls, walk = [], semantics._bfs_tree
+    for m in (semantics, distributability, equivalence, unfolding):
+        assert m._bfs_tree is walk
+
+        def spy(after, starts, name=m.__name__):
+            calls.append(name)
+            return walk(after, starts)
+
+        monkeypatch.setattr(m, "_bfs_tree", spy)
+    return calls
+
+
+def test_one_breadth_first_walk(walks):
+    # every breadth-first tree or closure outside the two numbering searches
+    # is _bfs_tree: the invisible closure, the live labels, the chain, the
+    # cycle and the orbits under automorphisms; no other module imports it
+    assert [m.__name__ for m in (model, transforms) if hasattr(m, "_bfs_tree")] == []
+    net = cn.make_net(["p"], ["a", "u"], [("p", "a"), ("a", "p"), ("p", "u"), ("u", "p")],
+                      ["p"], {"a": "a"})
+    m0 = cn.initial_dependency_marking(net)
+    # a violating cycle: a adds its label to p's token, u puts it back as it was
+    loop = cn.ReachGraph(True, [m0, cn.fire_step(net, m0, {"a"})],
+                         [cn.ReachEdge(0, ("a",), 1), cn.ReachEdge(1, ("u",), 0)], 4, False,
+                         net.labelling)
+    pure_m = cn.builtin("repeated_pure_m")
+    calls = {  # name: (call, the module whose _bfs_tree it reaches)
+        "weak_step": (lambda: cn.weak_step(net, m0, ["a"]), "semantics"),
+        "find_local_deadlock": (lambda: cn.find_local_deadlock(cn.builtin("deadlocking")),
+                                "equivalence"),
+        "check_distributed": (lambda: cn.check_distributed(pure_m).chain, "distributability"),
+        "check_cycle_dependency": (lambda: cn.check_cycle_dependency(net, loop), "semantics"),
+        "canonicalize": (lambda: cn.canonicalize(["a"] * 6, [(0, 1), (2, 3), (4, 5)]),
+                         "unfolding"),
+    }
+    for name, (call, module) in calls.items():
+        walks.clear()
+        assert call(), name
+        assert f"causalnets.{module}" in walks, name
+
+
 def test_one_firing_rule():
     # every enabledness reader calls ``net._table.covered`` on a place mask
     assert not hasattr(model, "_enabled")

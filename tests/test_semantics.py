@@ -3,7 +3,7 @@
 import random
 import re
 from collections import deque
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -15,13 +15,16 @@ from helpers import (
     NotACycleError,
     _post,
     _pre,
+    brute_force_contact_free,
     brute_force_cycle_violations,
     dependency_classes,
     deps_at,
     enabled_steps,
     marking_of,
     oracle_fire,
+    oracle_labelled_step,
     oracle_step_enabled,
+    oracle_weak_step,
     plain_enabled,
     plain_fire,
     random_contact_free_nets,
@@ -163,6 +166,35 @@ class TestWeakStep:
 
     def test_nothing_after_sink(self):
         assert cn.weak_step(fig2(), M0, ["b", "a"]) == set()
+
+    def test_step_relations_match_oracle_on_random_nets(self):
+        # weak_step for every sequence of at most two visible labels, and
+        # labelled_step for every multiset of one to three of them, equal the
+        # token-level transcription from the initial marking and from a
+        # random dependency marking, on nets with contact and without
+        def token_sets(markings):
+            return {frozenset(tokens_of(x)) for x in markings}
+
+        rng = random.Random(37)
+        seen = {"contact": 0, "closure": 0, "steps": 0, "pairs": 0}
+        for _ in range(200):
+            net = random_net(rng, 5, 5)
+            seen["contact"] += not brute_force_contact_free(net)[0]
+            labels = sorted(net.visible_labels)
+            for m in (cn.initial_dependency_marking(net), random_dep_marking(rng, net)):
+                tokens = tokens_of(m)
+                for n in range(3):
+                    for sigma in product(labels, repeat=n):
+                        found = token_sets(cn.weak_step(net, m, sigma))
+                        assert found == oracle_weak_step(net, tokens, sigma), (net, m, sigma)
+                        seen["closure"] += not sigma and len(found) > 1
+                        seen["steps"] += bool(sigma) and bool(found)
+                for n in range(1, 4):
+                    for want in combinations_with_replacement(labels, n):
+                        found = token_sets(cn.labelled_step(net, m, want))
+                        assert found == oracle_labelled_step(net, tokens, want), (net, m, want)
+                        seen["pairs"] += n > 1 and bool(found)
+        assert min(seen.values()) >= 20, seen
 
     def test_tau_rejected(self):
         # each element is tested, whether or not a marking is left to step from
@@ -411,16 +443,16 @@ class TestCycleDependency:
                           {t: t for t in ts})
         graph = cn.explore_reachable(net, dependency=True)
         assert (len(graph.nodes), len(graph.edges)) == (16, 65)
-        starts = []
+        roots = []
         bfs_tree = cn.semantics._bfs_tree
 
-        def counted(adjacency, start):
-            starts.append(start)
-            return bfs_tree(adjacency, start)
+        def counted(after, starts):
+            roots.extend(starts)
+            return bfs_tree(after, starts)
 
         monkeypatch.setattr(cn.semantics, "_bfs_tree", counted)
         assert cn.check_cycle_dependency(net, graph) == []
-        assert sorted(starts) == sorted({e.target for e in graph.edges})
+        assert sorted(roots) == sorted({e.target for e in graph.edges})
 
     def test_exact_past_ten_thousand_simple_cycles(self):
         # Nodes 0..7 form a complete digraph with 13,699 simple cycles
